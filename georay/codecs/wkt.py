@@ -813,6 +813,16 @@ _WKT_MAX_DEPTH = {
 }
 
 
+def _blank_spans(work: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
+    """Overwrite the byte spans ``[starts[i], ends[i])`` of ``work`` with
+    spaces, in one scatter."""
+    lens = (ends - starts).astype(np.int64)
+    tot = int(lens.sum())
+    if tot:
+        off = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        work[np.repeat(starts, lens) + np.arange(tot) - np.repeat(off, lens)] = 0x20
+
+
 def _decode_uniform_wkt(arr: pa.Array, target: GeoType):
     """Vectorized WKT decode lane for UNIFORM canonical-form XY batches
     — the text sibling of the WKB ``_decode_uniform`` lane (r5, the
@@ -864,6 +874,10 @@ def _decode_uniform_wkt(arr: pa.Array, target: GeoType):
     starts_all = offs[:-1] - lo
     ends_all = offs[1:] - lo
     if valid is not None:
+        # bytes under a NULL slot are arbitrary: blank them so they can
+        # neither move the depth scan nor land before the first valid
+        # feature's start (a negative bincount index)
+        _blank_spans(work, starts_all[~valid], ends_all[~valid])
         starts = starts_all[valid]
         ends = ends_all[valid]
     else:
@@ -893,14 +907,7 @@ def _decode_uniform_wkt(arr: pa.Array, target: GeoType):
         for i in range(6):
             if not np.all(work[starts[em] + tl + i] == body[i]):
                 return None
-        # blank EMPTY features entirely
-        lens = (ends[em] - starts[em]).astype(np.int64)
-        off = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        tot = int(lens.sum())
-        idx = np.repeat(starts[em], lens) + np.arange(tot) - np.repeat(
-            off, lens
-        )
-        work[idx] = 0x20
+        _blank_spans(work, starts[em], ends[em])  # EMPTY features entirely
     # blank the tag region of open-form features
     opn = np.flatnonzero(open_form)
     if opn.size:

@@ -171,7 +171,9 @@ def pip_count(
     cache: dict = {}
 
     def probe_count(batch: pa.Table) -> pa.Table:
-        idx: PolygonIndex = cache.setdefault("i", ray.get(ref))
+        if "i" not in cache:  # one fetch per worker process
+            cache["i"] = ray.get(ref)
+        idx: PolygonIndex = cache["i"]
         lon, lat = ops.point_lonlat(batch, geom_col)
         bad = ~(np.isfinite(lon) & np.isfinite(lat))
         pidx, poly = idx.contains(
@@ -222,7 +224,9 @@ def pip_zonal_stats(
     cache: dict = {}
 
     def probe_stats(batch: pa.Table) -> pa.Table:
-        idx: PolygonIndex = cache.setdefault("i", ray.get(ref))
+        if "i" not in cache:  # one fetch per worker process
+            cache["i"] = ray.get(ref)
+        idx: PolygonIndex = cache["i"]
         # SQL aggregate semantics skip NULLs: drop null-value rows before
         # the reduce (astype would turn them into NaN and poison
         # sum/min/max/avg for the whole polygon)

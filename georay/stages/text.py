@@ -1800,7 +1800,9 @@ def editdist_join_qgram(
     cache: dict = {}
 
     def verify(batch: pa.Table) -> pa.Table:
-        ids_s, strs = cache.setdefault("s", _ray.get(sref))
+        if "s" not in cache:  # one fetch per worker process
+            cache["s"] = _ray.get(sref)
+        ids_s, strs = cache["s"]
         a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         c = batch["c"].to_numpy(zero_copy_only=False).astype(np.int64)

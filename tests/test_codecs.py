@@ -775,3 +775,32 @@ def test_wkt_vectorized_encode_matches_writer():
     got = W._format_doubles_arrow(xs).to_pylist()
     for x, g in zip(xs, got):
         assert g == W.format_double(float(x), 16), (x, g)
+
+
+def test_wkt_fast_lane_null_slot_garbage():
+    """Bytes under a NULL slot are arbitrary: balanced-paren garbage
+    there (before the first valid feature, so the lane's span lookup
+    would land at index -1) must neither crash the uniform WKT lane nor
+    change the valid rows."""
+    import pyarrow as pa
+
+    from georay.codecs import native, wkt
+    from georay.types import GeoType
+
+    rows = [
+        "((9 9)) ((,)) 7",  # under a NULL slot
+        "POLYGON ((0 0, 1 0, 1 1, 0 0))",
+        "POLYGON ((2 2, 3 2, 3 3, 2 2), (2.1 2.1, 2.2 2.1, 2.2 2.2, 2.1 2.1))",
+    ]
+    data = "".join(rows).encode()
+    offsets = np.cumsum([0] + [len(r.encode()) for r in rows]).astype(np.int32)
+    validity = pa.py_buffer(np.packbits([0, 1, 1], bitorder="little").tobytes())
+    dirty = pa.Array.from_buffers(
+        pa.string(), 3, [validity, pa.py_buffer(offsets.tobytes()), pa.py_buffer(data)], 1
+    )
+    clean = pa.array([None] + rows[1:], pa.string())
+    a, ta = wkt.decode(dirty, GeoType.polygon())
+    b, tb = wkt.decode(clean, GeoType.polygon())
+    assert a.null_count == 1 and not a.is_valid()[0].as_py()
+    assert np.array_equal(native.view(a, ta).coords, native.view(b, tb).coords)
+    assert a.equals(b)

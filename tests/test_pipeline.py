@@ -73,6 +73,136 @@ def test_flagship_idempotent_when_done(images_dir, polygons, tmp_path, ray_sessi
     assert s["rows"] == 2000
 
 
+def _assert_outputs_match_assign(out):
+    """Histograms equal a NumPy recount over the written assign/ table,
+    and each manifest checksum equals one over that shard's written ids."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    assign = pq.read_table(
+        os.path.join(out, "assign"), columns=["image_id", "cell_parent", "tile_key", "shard"]
+    )
+    tk, tn = np.unique(assign["tile_key"].to_numpy(), return_counts=True)
+    tiles = pd.read_parquet(os.path.join(out, "tile_histogram.parquet"))
+    assert tiles["tile_key"].tolist() == tk.tolist()
+    assert tiles["count"].tolist() == tn.tolist()
+    ck, cn = np.unique(assign["cell_parent"].to_numpy(), return_counts=True)
+    top = np.lexsort((ck, -cn))[:20]
+    cells = pd.read_parquet(os.path.join(out, "top_cells.parquet"))
+    assert cells["cell_parent"].tolist() == ck[top].tolist()
+    assert cells["count"].tolist() == cn[top].tolist()
+    shard = assign["shard"].cast(pa.string())
+    manifest = pipeline.load_manifest(out)
+    assert sorted(manifest) == sorted(set(shard.to_pylist()))
+    for name, m in manifest.items():
+        ids = assign["image_id"].filter(pc.equal(shard, name)).to_pylist()
+        assert m["rows_out"] == len(ids)
+        assert m["id_checksum"] == pipeline._id_checksum(ids)
+
+
+def test_flagship_histograms_and_checksums_match_written_output(
+    images_dir, polygons, tmp_path, ray_session
+):
+    """The write-time partials (histogram sidecars, checksums) agree with
+    a recount over what is on disk after a fresh run, a resume that
+    redoes one shard, and an idempotent rerun."""
+    out = str(tmp_path / "pin")
+    pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    _assert_outputs_match_assign(out)
+
+    m = pipeline.load_manifest(out)
+    victim = sorted(m)[2]
+    del m[victim]
+    pipeline.save_manifest(out, m)
+    shutil.rmtree(os.path.join(out, "assign", f"shard={victim}"))
+    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    assert s["shards_processed_this_run"] == 1
+    _assert_outputs_match_assign(out)
+
+    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    assert s["shards_processed_this_run"] == 0
+    _assert_outputs_match_assign(out)
+
+
+def test_flagship_redoes_shard_with_missing_sidecar(images_dir, polygons, tmp_path, ray_session):
+    """A manifest shard whose histogram sidecar is gone is rewritten, not
+    silently left out of the histograms."""
+    out = str(tmp_path / "nosidecar")
+    pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    victim = sorted(pipeline.load_manifest(out))[0]
+    sidecar = os.path.join(out, pipeline.HIST_DIR, f"{victim}.parquet")
+    os.remove(sidecar)
+    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    assert s["shards_processed_this_run"] == 1
+    assert s["rows"] == 2000
+    assert os.path.exists(sidecar)
+    _assert_outputs_match_assign(out)
+
+
+def test_shard_sink_merges_shards_split_across_write_tasks(images_dir, ray_session, tmp_path):
+    """A shard written by several write tasks: rows and checksum partials
+    add up per shard, and its sidecar's repeated keys sum to a recount."""
+    import glob as _glob
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from georay import ops
+
+    files = sorted(_glob.glob(os.path.join(images_dir, "*.parquet")))
+    out = str(tmp_path / "split")
+
+    def transform(ds):  # 7 blocks over 4 shards: some shards span two tasks
+        return ops.add_cell_column(ds.repartition(7), level=10, parent_level=4)
+
+    manifest, _, n = pipeline._write_shards(
+        files, out, "data", transform, columns=["image_id", "geotag"], id_col="image_id",
+        resume=True, partition_cols=["shard"], count_cols=("cell_parent",),
+    )
+    assert n == 2000 and len(manifest) == len(files)
+    back = pq.read_table(os.path.join(out, "data"), columns=["image_id", "cell_parent", "shard"])
+    shard = back["shard"].cast(pa.string())
+    for name, m in manifest.items():
+        ids = back["image_id"].filter(pc.equal(shard, name)).to_pylist()
+        assert m["rows_out"] == len(ids) == 500
+        assert m["id_checksum"] == pipeline._id_checksum(ids)
+    sidecars = [pipeline._hist_path(out, s) for s in sorted(manifest)]
+    split = [pq.read_table(p)["key"].to_numpy() for p in sidecars]
+    assert any(len(np.unique(k)) < len(k) for k in split)
+    col, key, cnt = pipeline._merge_sidecars(sidecars)
+    want_k, want_n = np.unique(back["cell_parent"].to_numpy(), return_counts=True)
+    order = np.argsort(key)
+    assert (col == "cell_parent").all()
+    assert key[order].tolist() == want_k.tolist() and cnt[order].tolist() == want_n.tolist()
+
+
+@pytest.mark.parametrize("bucketed", [False, True])
+def test_flagship_is_one_ray_data_execution(
+    images_dir, polygons, tmp_path, ray_session, monkeypatch, bucketed
+):
+    """A fresh run is ONE Ray Data execution (write, validation and
+    histogram partials together); a finished run starts none."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    orig = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    out = str(tmp_path / "once")
+    kw = dict(zoom=5, concurrency=2, bucketed_cells=bucketed)
+    pipeline.run_flagship(images_dir, out, polygons, **kw)
+    assert len(calls) == 1
+    pipeline.run_flagship(images_dir, out, polygons, **kw)
+    assert len(calls) == 1
+
+
 def test_image_invariant_psnr_and_captions(images_dir, ray_session):
     res = pipeline.validate_images(images_dir, concurrency=2)
     assert res["rows"] == 2000
