@@ -304,6 +304,21 @@ def grid_cell(lon_deg, lat_deg, res_deg: float) -> np.ndarray:
     return np.where(ok, gx * GRID_MULT + gy, GRID_NULL)
 
 
+def grid_cell_wrapped(lon_deg, lat_deg, res_deg: float) -> np.ndarray:
+    """``grid_cell`` for finite reference points, folded into the grid that
+    ``grid_disk`` and the bbox covers can reach: the column wraps modulo
+    ``nx = ceil(360/res)`` (lon = 180 is lon = −180) and the row clamps to
+    ``ny − 1`` (lat = 90 joins the top row). Plain ``grid_cell`` puts such
+    points in column ``nx`` / row ``ny``, which no probe disk ever visits."""
+    lon = np.asarray(lon_deg, dtype=np.float64)
+    lat = np.asarray(lat_deg, dtype=np.float64)
+    nx = int(np.ceil(360.0 / res_deg))
+    ny = int(np.ceil(180.0 / res_deg))
+    gx = np.floor((lon + 180.0) / res_deg).astype(np.int64) % nx
+    gy = np.clip(np.floor((lat + 90.0) / res_deg), 0, ny - 1).astype(np.int64)
+    return gx * GRID_MULT + gy
+
+
 def grid_disk(cells: np.ndarray, k: int, nx: int) -> np.ndarray:
     """(2k+1)² neighborhood of grid cells; lon wraps modulo ``nx`` columns.
 

@@ -479,7 +479,7 @@ class PointIndex:
         lon = np.asarray(lon, np.float64)[ok]
         lat = np.asarray(lat, np.float64)[ok]
         ids = np.asarray(ids)[ok]
-        cell = cells.grid_cell(lon, lat, res)
+        cell = cells.grid_cell_wrapped(lon, lat, res)
         uniq, offsets, vs = _csr_from_pairs(cell, np.arange(lon.shape[0], dtype=np.int64))
         return PointIndex(
             res=res,

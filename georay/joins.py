@@ -846,66 +846,255 @@ def _topk_reduce(batch: pa.Table, k: int) -> pa.Table:
     )
 
 
-def knn_join_partitioned(
+# Row budget of one ring co-shuffle wave (see ``_ring_knn``): a single
+# 239M-row exchange stalls the streaming executor; 120M-row waves run clean.
+_KNN_MSG_BUDGET = 100_000_000
+
+
+class _PlanarMetric:
+    """Planar (lon, lat)-degree metric of ``_ring_knn``: squared
+    distance, and the Chebyshev ring bound of ``PointIndex.knn`` — a ref
+    outside ring r is farther than r·res, so a probe whose kth d² ≤
+    (r·res)² is exact (the planar metric does not wrap, so the narrow
+    wrap column only adds far-away candidates). No polar stall."""
+
+    stalls = False
+
+    def __init__(self, res: float):
+        self.res = res
+
+    def score(self, plon, plat, rlon, rlat) -> np.ndarray:
+        return (plon[:, None] - rlon[None, :]) ** 2 + (
+            plat[:, None] - rlat[None, :]
+        ) ** 2
+
+    def stop(self, kth, r, lat):
+        return kth <= (r * self.res) ** 2, np.zeros(kth.shape[0], bool)
+
+    def grow(self, r, kth):
+        need = np.maximum(r * 2, r + 1)
+        known = np.isfinite(kth)
+        # once kth is known, jump straight to the proven-sufficient ring
+        need[known] = np.maximum(
+            r[known] + 1, np.ceil(np.sqrt(kth[known]) / self.res)
+        ).astype(np.int64)
+        return need
+
+
+class _GeodesicMetric:
+    """Great-circle metric of ``_ring_knn``: haversine QUANTIZED to
+    integer milli-km (``floor(km·1000 + 0.5)``, the broadcast twins'
+    decision metric) and the POLE-SAFE stopping bound of
+    ``PointIndex.knn_geodesic`` (georay/index.py:699): a ref outside
+    Chebyshev ring r is > r·res° away in latitude (distance ≥
+    r·res·KM_PER_DEG, meridian arc ≤ haversine) OR > r·res − slack° in
+    longitude within the probe's latitude band (distance ≥
+    2R·asin(√(cosφ₁·cosφ_max)·sin(Δλ/2))). The strict quantized
+    comparison kth_mkm < bound_mkm makes the stop bit-identical to the
+    brute scan. A probe whose φ_max pins at 90° has a dead longitude
+    bound — it STALLS and ``_ring_knn`` finishes it by latitude band.
+
+    ``kernels.haversine_km`` is looked up at call time so a wrapper
+    installed on the module attribute sees every call."""
+
+    stalls = True
+
+    def __init__(self, res: float, nx: int):
+        self.res = res
+        self.half_row = int(np.ceil(nx / 2)) + 1
+        self.slack = max(nx * res - 360.0, 0.0)
+
+    def score(self, plon, plat, rlon, rlat) -> np.ndarray:
+        from georay import kernels
+
+        km = kernels.haversine_km(
+            plon[:, None], plat[:, None], rlon[None, :], rlat[None, :]
+        )
+        return np.floor(km * 1000.0 + 0.5)
+
+    def stop(self, kth, r, lat):
+        from georay.kernels import EARTH_RADIUS_KM, KM_PER_DEG
+
+        res = self.res
+        phi1 = np.abs(lat)
+        lat_bound = r * res * KM_PER_DEG
+        phi_max = np.minimum(phi1 + (r + 1) * res, 90.0)
+        lon_sep = np.maximum(r * res - self.slack, 0.0)
+        arg = np.sqrt(
+            np.maximum(
+                np.cos(np.radians(phi1)) * np.cos(np.radians(phi_max)), 0.0
+            )
+        ) * np.sin(np.radians(np.minimum(lon_sep, 180.0)) / 2.0)
+        lon_bound = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(arg, 1.0))
+        d_min = np.where(
+            r < self.half_row, np.minimum(lat_bound, lon_bound), lat_bound
+        )
+        polar = (phi_max >= 90.0) & (r >= 1) & (r < self.half_row)
+        return kth < np.floor(d_min * 1000.0 + 0.5), polar
+
+    def grow(self, r, kth):
+        from georay.kernels import KM_PER_DEG
+
+        # double; once kth is known, jump at least to the
+        # latitude-sufficient radius (lat_bound > kth)
+        need = np.maximum(r * 2, r + 1)
+        known = np.isfinite(kth)
+        r_lat = np.ceil(
+            ((kth[known] + 1) / 1000.0) / KM_PER_DEG / self.res
+        ).astype(np.int64) + 1
+        need[known] = np.maximum(need[known], r_lat)
+        return need
+
+
+def _probe_msgs(key: str, keys, pid, lon, lat) -> pa.Table:
+    """Probe-side message rows of a ring co-shuffle (side 0, rid −1)."""
+    n = keys.shape[0]
+    return pa.table(
+        {
+            key: pa.array(keys, pa.int64()),
+            "side": pa.array(np.zeros(n, np.int8)),
+            "pid": pa.array(pid, pa.int64()),
+            "rid": pa.array(np.full(n, -1, np.int64)),
+            "lon": pa.array(lon, pa.float64()),
+            "lat": pa.array(lat, pa.float64()),
+        }
+    )
+
+
+def _id_points(ds: ray.data.Dataset, id_col: str, id_out: str, lonlat):
+    """(id_out, lon, lat) projection; ``lonlat(batch)`` → float64 arrays."""
+
+    def proj(batch: pa.Table) -> pa.Table:
+        lon, lat = lonlat(batch)
+        return pa.table(
+            {
+                id_out: batch[id_col].cast(pa.int64()),
+                "lon": pa.array(lon, pa.float64()),
+                "lat": pa.array(lat, pa.float64()),
+            }
+        )
+
+    return ds.map_batches(
+        proj, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    )
+
+
+def _xy_cols(x_col: str, y_col: str):
+    def lonlat(batch: pa.Table):
+        return (
+            batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64),
+            batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64),
+        )
+
+    return lonlat
+
+
+def _flagged(ds: ray.data.Dataset, flag: int, cols: list[str]):
+    return ds.map_batches(
+        lambda b: b.filter(pc.equal(b["flag"], flag)).select(cols),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+    )
+
+
+def _union_all(dss: list[ray.data.Dataset]) -> ray.data.Dataset:
+    return dss[0].union(*dss[1:]) if len(dss) > 1 else dss[0]
+
+
+def _ring_knn(
     probes: ray.data.Dataset,
     refs: ray.data.Dataset,
-    k: int = 3,
-    geom_col: str = "geotag",
-    probe_id_col: str = "p_partkey",
-    ref_geom_col: str = "geotag",
-    ref_id_col: str = "s_suppkey",
-    res: float | None = None,
-    max_ring: int = 16,
-    n_pid_buckets: int = 64,
+    k: int,
+    res: float,
+    metric,
+    max_rounds: int,
+    n_pid_buckets: int,
+    msg_budget: int,
+    emit,
 ) -> ray.data.Dataset:
-    """BOTH-SIDES-LARGE kNN join: no broadcast index, NO DRIVER STATE.
-    Both sides are keyed by the same grid cell; each round co-shuffles
-    the unresolved probes' ring-r disks with the refs via ONE
-    ``groupby(cell)``, scores candidates bucket-locally, batch-combines
-    with ``_topk_reduce``, then finishes with a ``groupby(hash(pid))``
-    that merges each probe's exact top-k, tests the ring bound, assigns
-    ranks, and re-emits still-unresolved probes as next-round state. A
-    probe resolves when it holds ≥k candidates whose kth distance ≤
-    (r·res)² (the same ring-bound guarantee as ``PointIndex.knn``), else
-    its ring grows. Most probes resolve in ≤2 rounds at a sane ``res``.
+    """Driver-free partitioned kNN by cell-ring expansion — the one
+    engine behind ``knn_join_partitioned`` (planar) and
+    ``knn_geodesic_partitioned``. ``probes`` is (pid, lon, lat), ``refs``
+    is (rid, lon, lat); rows with non-finite coordinates are dropped.
+    ``metric`` (``_PlanarMetric`` / ``_GeodesicMetric``) supplies the
+    bucket scorer, the stopping bound + ring growth, and whether probes
+    can stall at a pole. ``emit`` maps the (pid, rid, rank, d) result
+    table to the wrapper's output columns.
 
-    Partitioning assumption (documented per the custom-operator rule):
-    the unresolved-probe set is a DATASET (pid, lon, lat, ring) — the
-    driver holds only its row count per round; per-round candidate
-    volume is bounded by k·|unresolved|·cells-per-disk rows, sharded
-    across ``n_pid_buckets`` merge groups. Every probe flows through the
-    merge via a sentinel row (rid=-1, d2=∞), so empty-disk probes keep
-    growing instead of vanishing.
+    Per round: unresolved probes expand their ring-r grid disk into
+    per-cell message rows, ONE ``groupby(cell)`` co-locates them with
+    the refs, each bucket scores its probes × refs and keeps a local
+    top-k in the (d, rid) total order (refs rid-sorted + STABLE argsort:
+    argpartition would drop an arbitrary member of a tie class
+    straddling the kth boundary), a combine tree (``_topk_reduce``)
+    shrinks candidates, and a ``groupby(hash(pid))`` merge applies the
+    metric's stopping bound, assigns ranks, and re-emits unresolved
+    probes with a grown ring. Probe state (pid, lon, lat, ring) is a
+    DATASET whose rows ride the exchanges as in-band sentinel rows, so
+    a probe with an empty disk still reaches the merge; the driver
+    holds only per-round counts. Rounds start at ring 1 (the ring-0
+    bound is 0 for both metrics, so a ring-0 round is a wasted global
+    exchange — measured 95.4 s → 78.9 s at 10M geodesic probes) and
+    stop after ``max_rounds`` + 1; the last one keeps whatever each
+    probe holds (best effort) and drops probes that hold nothing. At
+    ``full_cover`` a disk spans the grid, so whatever it holds is exact.
 
-    Returns a Dataset of (probe_id_col, ref_id_col, knn_rank) —
-    identical rows to the broadcast ``knn_join`` plan.
+    BOUNDED EXCHANGE: a round's message volume is Σ_probes (2r+1)² rows,
+    30–50 cells per probe after a kth-informed jump, and a single
+    239M-row exchange stalls the streaming executor (measured 10M
+    probes/32 cpus; 120M-row waves run clean, 92.8 s vs 128.1 s at 50M
+    waves). Each round therefore splits the unresolved set into hash(pid)
+    WAVES sized so one wave's expansion stays under ``msg_budget`` rows.
+    The per-ring histogram that picks the wave count is skipped when
+    even a full-cover disk per probe fits the budget. A state spread over
+    more than ~250k-row blocks is then COMPACTED (the wave unions and
+    per-group filters leave hundreds of near-empty blocks, and a
+    fragmented input multiplies the next sort's shuffle metadata on the
+    driver — a measured 3 GiB spike at 5M probes).
+
+    POLAR STALL (``metric.stalls``): a stalled probe holding ≥k
+    candidates is finished exactly by its latitude band — every ref at
+    distance ≤ kth lies within |Δφ| ≤ (kth+1)/1000/KM_PER_DEG — via one
+    extra ``groupby(row)`` co-shuffle and pid-bucket merge (its current
+    top-k is inside the band, so the band re-scan is a superset).
+
+    Partitioning assumption (custom-operator rule): per-round candidate
+    volume ≤ k·|unresolved-in-wave|·cells-per-disk rows sharded over
+    ``n_pid_buckets`` merge groups; the stall finish assumes one
+    latitude row of refs fits a task (chunked scoring bounds the
+    matrix). Ref ids must be ≥ 0: negative ids are the state sentinels.
     """
+    import os
+    import time
+
     import ray.data as rd
 
     from georay import cells as c
 
-    if res is None:
-        n = max(refs.count(), 1)
-        res = float(np.clip(np.sqrt(360.0 * 180.0 / n) * 2.0, 0.25, 30.0))
     nx = int(np.ceil(360.0 / res))
-    # at ``full_cover`` the probe's disk spans the whole grid, so
-    # whatever it holds is exact by construction
-    full_cover = int(max(np.ceil(nx / 2.0), np.ceil(180.0 / res))) + 1
+    ny = int(np.ceil(180.0 / res))
+    full_cover = max(int(np.ceil(nx / 2)) + 1, ny) + 1
     nb = np.uint64(n_pid_buckets)
 
     def key_refs(batch: pa.Table) -> pa.Table:
-        lon, lat = ops.point_lonlat(batch, ref_geom_col)
+        lon = batch["lon"].to_numpy(zero_copy_only=False)
+        lat = batch["lat"].to_numpy(zero_copy_only=False)
         okm = np.isfinite(lon) & np.isfinite(lat)
-        sub = batch.filter(pa.array(okm))
         lon, lat = lon[okm], lat[okm]
+        rid = batch["rid"].filter(pa.array(okm)).to_numpy(zero_copy_only=False)
+        if rid.shape[0] and int(rid.min()) < 0:
+            raise ValueError(
+                "partitioned kNN: ref ids must be >= 0 (negative ids are "
+                "the in-band probe-state sentinels)"
+            )
+        n = lon.shape[0]
         return pa.table(
             {
-                "cell": pa.array(c.grid_cell(lon, lat, res), pa.int64()),
-                "side": pa.array(np.ones(len(sub), np.int8)),
-                "pid": pa.array(np.full(len(sub), -1), pa.int64()),
-                "rid": sub[ref_id_col].cast(pa.int64()),
-                "lon": pa.array(lon),
-                "lat": pa.array(lat),
+                "cell": pa.array(c.grid_cell_wrapped(lon, lat, res), pa.int64()),
+                "side": pa.array(np.ones(n, np.int8)),
+                "pid": pa.array(np.full(n, -1, np.int64)),
+                "rid": pa.array(rid, pa.int64()),
+                "lon": pa.array(lon, pa.float64()),
+                "lat": pa.array(lat, pa.float64()),
             }
         )
 
@@ -913,22 +1102,22 @@ def knn_join_partitioned(
         key_refs, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     ).materialize()
 
-    def probe_tbl(batch: pa.Table) -> pa.Table:
-        lon, lat = ops.point_lonlat(batch, geom_col)
+    def probe_state(batch: pa.Table) -> pa.Table:
+        lon = batch["lon"].to_numpy(zero_copy_only=False)
+        lat = batch["lat"].to_numpy(zero_copy_only=False)
         okm = np.isfinite(lon) & np.isfinite(lat)
-        sub = batch.filter(pa.array(okm))
         return pa.table(
             {
-                "pid": sub[probe_id_col].cast(pa.int64()),
-                "lon": pa.array(lon[okm]),
-                "lat": pa.array(lat[okm]),
-                "r": pa.array(np.zeros(int(okm.sum()), np.int64)),
+                "pid": batch["pid"].filter(pa.array(okm)),
+                "lon": pa.array(lon[okm], pa.float64()),
+                "lat": pa.array(lat[okm], pa.float64()),
+                "r": pa.array(np.ones(int(okm.sum()), np.int64)),
             }
         )
 
-    # Dataset-resident probe state: (pid, lon, lat, r)
     un = probes.map_batches(
-        probe_tbl, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+        probe_state, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=None,
     ).materialize()
     n_un = un.count()
 
@@ -940,40 +1129,18 @@ def knn_join_partitioned(
         lat = batch["lat"].to_numpy(zero_copy_only=False)
         rr = batch["r"].to_numpy(zero_copy_only=False)
         cells_ = c.grid_cell(lon, lat, res)
-        parts = []
+        keys, owner = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for rv in np.unique(rr):
-            m = rr == rv
+            m = np.flatnonzero(rr == rv)
             disk = c.grid_disk(cells_[m], int(rv), nx)
-            width = disk.shape[1]
-            npm = int(m.sum())
-            parts.append(
-                pa.table(
-                    {
-                        "cell": pa.array(disk.reshape(-1), pa.int64()),
-                        "side": pa.array(np.zeros(npm * width, np.int8)),
-                        "pid": pa.array(np.repeat(pid[m], width), pa.int64()),
-                        "rid": pa.array(np.full(npm * width, -1), pa.int64()),
-                        "lon": pa.array(np.repeat(lon[m], width)),
-                        "lat": pa.array(np.repeat(lat[m], width)),
-                    }
-                )
-            )
-        if not parts:
-            return pa.table(
-                {
-                    "cell": pa.array([], pa.int64()),
-                    "side": pa.array([], pa.int8()),
-                    "pid": pa.array([], pa.int64()),
-                    "rid": pa.array([], pa.int64()),
-                    "lon": pa.array([], pa.float64()),
-                    "lat": pa.array([], pa.float64()),
-                }
-            )
-        return pa.concat_tables(parts)
+            keys.append(disk.reshape(-1))
+            owner.append(np.repeat(m, disk.shape[1]))
+        o = np.concatenate(owner)
+        return _probe_msgs("cell", np.concatenate(keys), pid[o], lon[o], lat[o])
 
     def sentinel(batch: pa.Table) -> pa.Table:
         """TWO probe-state rows per live probe in the slim 4-column
-        schema (a probe with zero candidates still reaches the
+        candidate schema (a probe with zero candidates still reaches the
         pid-bucket merge and grows its ring there):
         rid=-1 → presence + ring (nc = -(r+1), never a candidate count);
         rid=-2 → coords (d2 = lon, nc = lat bit-cast to int64)."""
@@ -1002,255 +1169,421 @@ def knn_join_partitioned(
             }
         )
 
-    def bucket_score(group: pa.Table) -> pa.Table:
+    def score(group: pa.Table) -> pa.Table:
+        """Local top-k of one cell (or latitude row) bucket, chunked
+        over probes to bound the scoring matrix."""
         side = group["side"].to_numpy(zero_copy_only=False)
         prb = group.filter(pa.array(side == 0))
         rf = group.filter(pa.array(side == 1))
-        empty = pa.table(
-            {
-                "pid": pa.array([], pa.int64()),
-                "rid": pa.array([], pa.int64()),
-                "d2": pa.array([], pa.float64()),
-                "nc": pa.array([], pa.int64()),
-            }
-        )
-        if len(prb) == 0 or len(rf) == 0:
-            return empty
+        pids = prb["pid"].to_numpy(zero_copy_only=False)
+        rids = rf["rid"].to_numpy(zero_copy_only=False)
+        nref = rids.shape[0]
+        if nref == 0:
+            pids = pids[:0]
         plon = prb["lon"].to_numpy(zero_copy_only=False)
         plat = prb["lat"].to_numpy(zero_copy_only=False)
-        rlon = rf["lon"].to_numpy(zero_copy_only=False)
-        rlat = rf["lat"].to_numpy(zero_copy_only=False)
-        rids = rf["rid"].to_numpy(zero_copy_only=False)
-        pids = prb["pid"].to_numpy(zero_copy_only=False)
-        # refs sorted by rid so the STABLE d2 argsort below breaks
-        # exact-distance ties by rid ascending — the same total order
-        # as _topk_reduce and the broadcast plan. argpartition would
-        # drop an arbitrary member of a tie class straddling the kth
-        # boundary before the merge ever sees it (one-in-60k at
-        # sf0.1, caught by the broadcast-parity gate).
+        # rid-sorted refs + STABLE argsort keep the (d, rid) total order
         ro = np.argsort(rids)
-        rlon, rlat, rids = rlon[ro], rlat[ro], rids[ro]
-        d2 = (plon[:, None] - rlon[None, :]) ** 2 + (
-            plat[:, None] - rlat[None, :]
-        ) ** 2
-        take = min(k, rlon.shape[0])
-        top = np.argsort(d2, axis=1, kind="stable")[:, :take]
-        rows = np.repeat(np.arange(pids.shape[0]), take)
-        cols = top.reshape(-1)
+        rlon = rf["lon"].to_numpy(zero_copy_only=False)[ro]
+        rlat = rf["lat"].to_numpy(zero_copy_only=False)[ro]
+        rids = rids[ro]
+        take = min(k, nref)
+        chunk = max(1, (1 << 22) // max(nref, 1))
+        P, R, D = [pids[:0]], [rids[:0]], [np.empty(0)]
+        for p0 in range(0, pids.shape[0], chunk):
+            d = metric.score(plon[p0:p0 + chunk], plat[p0:p0 + chunk], rlon, rlat)
+            top = np.argsort(d, axis=1, kind="stable")[:, :take]
+            rows = np.repeat(np.arange(d.shape[0]), take)
+            cols = top.reshape(-1)
+            P.append(pids[p0 + rows])
+            R.append(rids[cols])
+            D.append(d[rows, cols])
+        n = sum(p.shape[0] for p in P)
         return pa.table(
             {
-                "pid": pa.array(pids[rows], pa.int64()),
-                "rid": pa.array(rids[cols], pa.int64()),
-                "d2": pa.array(d2[rows, cols], pa.float64()),
-                "nc": pa.array(
-                    np.full(rows.shape[0], rlon.shape[0], np.int64)
-                ),
+                "pid": pa.array(np.concatenate(P), pa.int64()),
+                "rid": pa.array(np.concatenate(R), pa.int64()),
+                "d2": pa.array(np.concatenate(D), pa.float64()),
+                "nc": pa.array(np.full(n, nref, np.int64)),
             }
         )
 
     def add_pb(batch: pa.Table) -> pa.Table:
         pid = batch["pid"].to_numpy(zero_copy_only=False).astype(np.int64)
         h = ops._mix64(pid.view(np.uint64).copy())
-        return batch.append_column(
-            "_pb", pa.array((h % nb).astype(np.int64))
+        return batch.append_column("_pb", pa.array((h % nb).astype(np.int64)))
+
+    def merge(cand: ray.data.Dataset, finish) -> ray.data.Dataset:
+        """Combine tree + pid-bucket merge of candidate/state rows."""
+        return (
+            cand.map_batches(
+                lambda b: _topk_reduce(b, k),
+                batch_format="pyarrow", zero_copy_batch=True,
+                batch_size=ops.COMBINE_TARGET_ROWS, num_cpus=0.5,
+            )
+            .map_batches(
+                add_pb, batch_format="pyarrow", zero_copy_batch=True,
+                batch_size=None,
+            )
+            .groupby("_pb")
+            .map_groups(finish, batch_format="pyarrow")
         )
 
-    _fin_schema = {
+    # merge output: flag 1 = resolved (rid/rank/d), 0 = grow ring
+    # (lon/lat/r), 2 = polar stall → lat-band finish (lon/lat, r = kth)
+    fin_schema = {
         "flag": pa.int8(), "pid": pa.int64(), "rid": pa.int64(),
-        "rank": pa.int64(), "lon": pa.float64(), "lat": pa.float64(),
-        "r": pa.int64(),
+        "rank": pa.int64(), "d": pa.float64(), "lon": pa.float64(),
+        "lat": pa.float64(), "r": pa.int64(),
     }
 
-    def _fin_empty() -> pa.Table:
-        return pa.table({n_: pa.array([], t_) for n_, t_ in _fin_schema.items()})
+    def fin_rows(flag, pid, rid=None, rank=None, d=None, lon=None, lat=None, r=None):
+        n = pid.shape[0]
+        vals = {"flag": np.full(n, flag, np.int8), "pid": pid, "rid": rid,
+                "rank": rank, "d": d, "lon": lon, "lat": lat, "r": r}
+        return pa.table({
+            n_: pa.array(
+                np.zeros(n, t_.to_pandas_dtype()) if vals[n_] is None
+                else vals[n_], t_,
+            )
+            for n_, t_ in fin_schema.items()
+        })
 
     def make_finish(final_round: bool):
         def finish(group: pa.Table) -> pa.Table:
             g = _topk_reduce(group.drop_columns(["_pb"]), k)
             pid = g["pid"].to_numpy(zero_copy_only=False)
-            if pid.shape[0] == 0:
-                return _fin_empty()
             rid = g["rid"].to_numpy(zero_copy_only=False)
             d2 = g["d2"].to_numpy(zero_copy_only=False)
             nc = g["nc"].to_numpy(zero_copy_only=False)
-            # probe state from the slim-schema state rows (one of each
-            # per live probe, pid-sorted, identical pid sets): rid=-1
-            # ring row (nc = -(r+1)), rid=-2 coord row (d2 = lon,
-            # nc = lat bits). Real candidate rows (rid ≥ 0) come first,
-            # sorted by (pid, d2, rid).
+            # real candidates (rid ≥ 0) come sorted by (pid, d, rid);
+            # state rows are pid-sorted with identical pid sets
             real = rid >= 0
-            ring_m = rid == -1
-            coord_m = rid == -2
             rp, rd2, rrid, rnc = pid[real], d2[real], rid[real], nc[real]
-            all_pid = pid[ring_m]
-            a_r = -nc[ring_m] - 1
-            a_lon = d2[coord_m]
-            a_lat = np.ascontiguousarray(nc[coord_m]).view(np.float64)
-            out_parts = []
-            resolved_pids = np.empty(0, np.int64)
-            if rp.size:
-                uq, st = np.unique(rp, return_index=True)
-                rl = np.diff(np.append(st, rp.shape[0]))
+            all_pid = pid[rid == -1]
+            a_r = -nc[rid == -1] - 1
+            a_lon = d2[rid == -2]
+            a_lat = np.ascontiguousarray(nc[rid == -2]).view(np.float64)
+            uq, st = np.unique(rp, return_index=True)
+            rl = np.diff(np.append(st, rp.shape[0]))
+            kth_of = np.full(all_pid.shape[0], np.inf)
+            if final_round:  # best effort: keep whatever each probe holds
+                resolved = np.ones(uq.shape[0], bool)
+            else:
                 kth = rd2[st + rl - 1]
                 nfound = rnc[st]
                 pos = np.searchsorted(all_pid, uq)
                 r_of = a_r[pos]
-                bound = (r_of * res) ** 2
                 have_k = (nfound >= k) & (rl >= np.minimum(k, nfound))
-                resolved = (have_k & (kth <= bound)) | (r_of >= full_cover)
-                if final_round:
-                    resolved = np.ones(uq.shape[0], bool)  # best effort
-                resolved_pids = uq[resolved]
-                if resolved_pids.size:
-                    sel = np.isin(rp, resolved_pids)
-                    # ranks: rows already ordered (d2, rid) within pid
-                    within = np.arange(rp.shape[0]) - np.repeat(st, rl)
-                    nsel = int(sel.sum())
-                    out_parts.append(
-                        pa.table(
-                            {
-                                "flag": pa.array(np.ones(nsel, np.int8)),
-                                "pid": pa.array(rp[sel], pa.int64()),
-                                "rid": pa.array(rrid[sel], pa.int64()),
-                                "rank": pa.array(within[sel] + 1, pa.int64()),
-                                # resolved rows never feed state back —
-                                # downstream selects (pid, rid, rank)
-                                "lon": pa.array(np.zeros(nsel), pa.float64()),
-                                "lat": pa.array(np.zeros(nsel), pa.float64()),
-                                "r": pa.array(np.zeros(nsel, np.int64)),
-                            }
-                        )
-                    )
-                # ring growth for unresolved-but-kth-known probes: jump
-                # straight to the proven-sufficient radius
-                need = np.maximum(a_r * 2, a_r + 1)
-                known = have_k & ~resolved
-                if known.any():
-                    jump = np.ceil(np.sqrt(kth[known]) / res).astype(np.int64)
-                    posk = np.searchsorted(all_pid, uq[known])
-                    need[posk] = np.maximum(a_r[posk] + 1, jump)
-            else:
-                need = np.maximum(a_r * 2, a_r + 1)
-            still = ~np.isin(all_pid, resolved_pids)
-            if final_round:
-                still &= np.zeros(all_pid.shape[0], bool)  # drop stragglers
-            if still.any():
-                out_parts.append(
-                    pa.table(
-                        {
-                            "flag": pa.array(
-                                np.zeros(int(still.sum()), np.int8)
-                            ),
-                            "pid": pa.array(all_pid[still], pa.int64()),
-                            "rid": pa.array(
-                                np.full(int(still.sum()), -1), pa.int64()
-                            ),
-                            "rank": pa.array(
-                                np.zeros(int(still.sum()), np.int64)
-                            ),
-                            "lon": pa.array(a_lon[still], pa.float64()),
-                            "lat": pa.array(a_lat[still], pa.float64()),
-                            "r": pa.array(
-                                np.minimum(need[still], full_cover),
-                                pa.int64(),
-                            ),
-                        }
-                    )
-                )
-            if not out_parts:
-                return _fin_empty()
-            return pa.concat_tables(out_parts)
+                bound_ok, polar = metric.stop(kth, r_of, a_lat[pos])
+                resolved = (have_k & bound_ok) | (r_of >= full_cover)
+                stalled = polar & ~resolved & have_k
+                kth_of[pos[have_k]] = kth[have_k]
+            parts = []
+            sel = np.repeat(resolved, rl)
+            if sel.any():
+                within = np.arange(rp.shape[0]) - np.repeat(st, rl)
+                parts.append(fin_rows(
+                    1, rp[sel], rid=rrid[sel], rank=within[sel] + 1, d=rd2[sel]
+                ))
+            if not final_round:
+                stall_m = np.isin(all_pid, uq[stalled])
+                if stall_m.any():
+                    parts.append(fin_rows(
+                        2, all_pid[stall_m], lon=a_lon[stall_m],
+                        lat=a_lat[stall_m], r=kth_of[stall_m].astype(np.int64),
+                    ))
+                still = ~np.isin(all_pid, uq[resolved]) & ~stall_m
+                if still.any():
+                    need = metric.grow(a_r[still], kth_of[still])
+                    parts.append(fin_rows(
+                        0, all_pid[still], lon=a_lon[still], lat=a_lat[still],
+                        r=np.minimum(need, full_cover),
+                    ))
+            if not parts:
+                return fin_rows(0, np.empty(0, np.int64))
+            return pa.concat_tables(parts)
 
         return finish
 
-    import os as _os
-    import time as _time
+    def r_histogram(ds_un: ray.data.Dataset) -> dict[int, int]:
+        """Per-ring unresolved counts (≤ log(full_cover) distinct rings)
+        — drives the wave count; the driver never holds probe rows."""
+        def partial(batch: pa.Table) -> pa.Table:
+            vals, cnts = np.unique(
+                batch["r"].to_numpy(zero_copy_only=False), return_counts=True
+            )
+            return pa.table({
+                "rv": pa.array(vals.astype(np.int64), pa.int64()),
+                "c": pa.array(cnts.astype(np.int64), pa.int64()),
+            })
 
-    _dbg = bool(_os.environ.get("GEORAY_KNN_DEBUG"))
-    results: list[ray.data.Dataset] = []
-    rounds = 0
-    while n_un and rounds <= max_ring:
-        rounds += 1
-        _t0 = _time.time()
-        msgs = un.map_batches(
-            expand, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        sent = un.map_batches(
-            sentinel, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        cand = (
-            msgs.union(refs_keyed)
-            .groupby("cell")
-            .map_groups(bucket_score, batch_format="pyarrow")
-        )
-        combined = cand.union(sent).map_batches(
-            lambda b: _topk_reduce(b, k),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=ops.COMBINE_TARGET_ROWS,
-            num_cpus=0.5,
-        )
-        fin = (
-            combined.map_batches(
-                add_pb, batch_format="pyarrow", zero_copy_batch=True,
+        h = ops.tree_sum(
+            ds_un.map_batches(
+                partial, batch_format="pyarrow", zero_copy_batch=True,
                 batch_size=None,
-            )
-            .groupby("_pb")
-            .map_groups(
-                make_finish(rounds > max_ring), batch_format="pyarrow"
-            )
-        ).materialize()
-        results.append(
-            fin.map_batches(
-                lambda b: b.filter(pc.equal(b["flag"], 1)).select(
-                    ["pid", "rid", "rank"]
-                ),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        un = fin.map_batches(
-            lambda b: b.filter(pc.equal(b["flag"], 0)).select(
-                ["pid", "lon", "lat", "r"]
             ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-        ).materialize()
+            "rv", {"c": "c"}, int_cols=("c",),
+        ).to_pandas()
+        return dict(zip(h["rv"].astype(int), h["c"].astype(int)))
+
+    def wave_of(batch: pa.Table, w: int, nw: np.uint64) -> pa.Table:
+        pid = batch["pid"].to_numpy(zero_copy_only=False).astype(np.int64)
+        h = ops._mix64((pid + 1).view(np.uint64).copy())
+        return batch.filter(pa.array((h % nw).astype(np.int64) == w))
+
+    dbg = bool(os.environ.get("GEORAY_KNN_DEBUG"))
+    state_cols = ["pid", "lon", "lat", "r"]
+    out_cols = ["pid", "rid", "rank", "d"]
+    results: list[ray.data.Dataset] = []
+    stalls: list[ray.data.Dataset] = []
+    rounds = 0
+    while n_un and rounds <= max_rounds:
+        rounds += 1
+        t0 = time.time()
+        est = n_un * (2 * full_cover + 1) ** 2
+        if est > msg_budget:
+            est = sum(n * (2 * rv + 1) ** 2 for rv, n in r_histogram(un).items())
+        n_waves = max(1, int(np.ceil(est / msg_budget)))
+        finish = make_finish(rounds > max_rounds)
+        fins = []
+        for w in range(n_waves):
+            uw = un if n_waves == 1 else un.map_batches(
+                lambda b, _w=w: wave_of(b, _w, np.uint64(n_waves)),
+                batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+            )
+            msgs = uw.map_batches(
+                expand, batch_format="pyarrow", zero_copy_batch=True,
+                batch_size=None,
+            )
+            sent = uw.map_batches(
+                sentinel, batch_format="pyarrow", zero_copy_batch=True,
+                batch_size=None,
+            )
+            cand = (
+                msgs.union(refs_keyed)
+                .groupby("cell")
+                .map_groups(score, batch_format="pyarrow")
+            )
+            fins.append(merge(cand.union(sent), finish).materialize())
+        fin = _union_all(fins)
+        results.append(_flagged(fin, 1, out_cols))
+        n_stall = 0
+        if metric.stalls:
+            stall = _flagged(fin, 2, state_cols).materialize()
+            n_stall = stall.count()
+            if n_stall:
+                stalls.append(stall)
+        un = _flagged(fin, 0, state_cols).materialize()
         n_un = un.count()
-        if _dbg:
+        # compaction only ever merges: splitting a state held in one or
+        # two blocks into 8 costs ~0.4 s per round at 20k probes
+        target = int(np.clip(n_un // 250_000, 8, 256))
+        if un.num_blocks() > target:
+            un = un.repartition(target).materialize()
+        if dbg:
+            import resource
+
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20)
             print(
-                f"[knn_part] round {rounds}: {_time.time() - _t0:.1f}s, "
-                f"unresolved={n_un}", flush=True,
+                f"[knn_ring] round {rounds}: {time.time() - t0:.1f}s, "
+                f"waves={n_waves} (est {est} msgs), stalled={n_stall}, "
+                f"unresolved={n_un}, driver_rss={rss:.2f}GiB", flush=True,
             )
 
-    def rename(b: pa.Table) -> pa.Table:
+    if stalls:
+        def expand_rows(batch: pa.Table) -> pa.Table:
+            """Stalled probe → one message per latitude row of its band."""
+            from georay.kernels import KM_PER_DEG
+
+            pid = batch["pid"].to_numpy(zero_copy_only=False)
+            lon = batch["lon"].to_numpy(zero_copy_only=False)
+            lat = batch["lat"].to_numpy(zero_copy_only=False)
+            kth = batch["r"].to_numpy(zero_copy_only=False)
+            dlat = ((kth + 1) / 1000.0) / KM_PER_DEG + 1e-12
+            lo = np.clip(np.floor((lat - dlat + 90.0) / res), 0, ny - 1)
+            hi = np.clip(np.floor((lat + dlat + 90.0) / res), 0, ny - 1)
+            cnt = (hi - lo + 1).astype(np.int64)
+            tot = int(cnt.sum())
+            off = np.cumsum(cnt) - cnt
+            rows = (
+                np.repeat(lo.astype(np.int64), cnt) + np.arange(tot)
+                - np.repeat(off, cnt)
+            )
+            return _probe_msgs(
+                "row", rows, np.repeat(pid, cnt), np.repeat(lon, cnt),
+                np.repeat(lat, cnt),
+            )
+
+        refs_rows = refs_keyed.map_batches(
+            lambda b: b.set_column(
+                0, "row",
+                pa.array(b["cell"].to_numpy(zero_copy_only=False) % c.GRID_MULT),
+            ),
+            batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+        )
+        band = (
+            _union_all(stalls)
+            .map_batches(
+                expand_rows, batch_format="pyarrow", zero_copy_batch=True,
+                batch_size=None,
+            )
+            .union(refs_rows)
+            .groupby("row")
+            .map_groups(score, batch_format="pyarrow")
+        )
+        results.append(_flagged(merge(band, make_finish(True)), 1, out_cols))
+
+    if not results:
+        return rd.from_arrow(emit(fin_rows(0, np.empty(0, np.int64)).select(out_cols)))
+    return _union_all(results).map_batches(
+        emit, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    )
+
+
+def knn_join_partitioned(
+    probes: ray.data.Dataset,
+    refs: ray.data.Dataset,
+    k: int = 3,
+    geom_col: str = "geotag",
+    probe_id_col: str = "p_partkey",
+    ref_geom_col: str = "geotag",
+    ref_id_col: str = "s_suppkey",
+    res: float | None = None,
+    max_ring: int = 16,
+    n_pid_buckets: int = 64,
+) -> ray.data.Dataset:
+    """BOTH-SIDES-LARGE planar kNN join: no broadcast index, NO DRIVER
+    STATE. Both sides key by the same grid cell and ``_ring_knn`` runs
+    the per-round ring co-shuffle with the planar metric: a probe
+    resolves when it holds ≥k candidates whose kth squared distance ≤
+    (r·res)² (the ring-bound guarantee of ``PointIndex.knn``), else its
+    ring grows. Most probes resolve in ≤2 rounds at a sane ``res``.
+    ``max_ring`` caps the number of ROUNDS (not the ring radius): the
+    round after the cap keeps whatever each probe holds.
+
+    Partitioning assumption (custom-operator rule): the unresolved-probe
+    set is a DATASET; per-round candidate volume is bounded by
+    k·|unresolved|·cells-per-disk rows, sharded across ``n_pid_buckets``
+    merge groups, and each round's exchange splits into hash(pid) waves
+    under the engine's default message budget. Ref ids must be ≥ 0.
+
+    Returns a Dataset of (probe_id_col, ref_id_col, knn_rank) —
+    identical rows to the broadcast ``knn_join`` plan.
+    """
+    if res is None:
+        n = max(refs.count(), 1)
+        res = float(np.clip(np.sqrt(360.0 * 180.0 / n) * 2.0, 0.25, 30.0))
+
+    def emit(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {probe_id_col: b["pid"], ref_id_col: b["rid"], "knn_rank": b["rank"]}
+        )
+
+    return _ring_knn(
+        _id_points(probes, probe_id_col, "pid",
+                   lambda b: ops.point_lonlat(b, geom_col)),
+        _id_points(refs, ref_id_col, "rid",
+                   lambda b: ops.point_lonlat(b, ref_geom_col)),
+        k, res, _PlanarMetric(res), max_ring, n_pid_buckets,
+        _KNN_MSG_BUDGET, emit,
+    )
+
+
+def _radius_cover_count(
+    probes: ray.data.Dataset,
+    refs: ray.data.Dataset,
+    cover,
+    count,
+    res: float,
+    probe_id_col: str,
+    ref_lon_col: str,
+    ref_lat_col: str,
+    count_alias: str,
+) -> ray.data.Dataset:
+    """Cover co-shuffle shared by the partitioned radius twins. Refs key
+    by their single (wrapped) grid cell; ``cover(batch)`` →
+    (cells, probe_row, lon, lat) replicates each probe to every cell its
+    radius can reach, so every true (probe, ref) pair meets in EXACTLY one
+    bucket — the ref's cell. ONE ``groupby(cell)`` co-shuffle, then
+    ``count(plon, plat, rlon, rlat)`` → per-probe in-bucket counts, and
+    per-probe partials merge through the combine tree. Probes with zero
+    refs in range emit no row (SQL GROUP BY COUNT semantics)."""
+    from georay import cells as c
+
+    def key_probes(batch: pa.Table) -> pa.Table:
+        keys, pidx, lon, lat = cover(batch)
+        pid = batch[probe_id_col]
+        if isinstance(pid, pa.ChunkedArray):
+            pid = pid.combine_chunks()
+        n = keys.shape[0]
         return pa.table(
             {
-                probe_id_col: b["pid"],
-                ref_id_col: b["rid"],
-                "knn_rank": b["rank"],
+                "cell": pa.array(keys, pa.int64()),
+                "side": pa.array(np.zeros(n, np.int8)),
+                "pid": pid.take(pa.array(pidx, pa.int64())).cast(pa.int64()),
+                "lon": pa.array(lon[pidx], pa.float64()),
+                "lat": pa.array(lat[pidx], pa.float64()),
             }
         )
 
-    if not results:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    probe_id_col: pa.array([], pa.int64()),
-                    ref_id_col: pa.array([], pa.int64()),
-                    "knn_rank": pa.array([], pa.int64()),
-                }
-            )
+    def key_refs(batch: pa.Table) -> pa.Table:
+        lon, lat = _xy_cols(ref_lon_col, ref_lat_col)(batch)
+        okm = np.isfinite(lon) & np.isfinite(lat)
+        lon, lat = lon[okm], lat[okm]
+        n = lon.shape[0]
+        return pa.table(
+            {
+                "cell": pa.array(c.grid_cell_wrapped(lon, lat, res), pa.int64()),
+                "side": pa.array(np.ones(n, np.int8)),
+                "pid": pa.array(np.full(n, -1, np.int64)),
+                "lon": pa.array(lon),
+                "lat": pa.array(lat),
+            }
         )
-    out = results[0]
-    for extra in results[1:]:
-        out = out.union(extra)
+
+    def count_bucket(group: pa.Table) -> pa.Table:
+        side = group["side"].to_numpy(zero_copy_only=False)
+        p = group.filter(pa.array(side == 0))
+        r = group.filter(pa.array(side == 1))
+        if len(p) == 0 or len(r) == 0:
+            cnt, pid = np.zeros(0, np.int64), np.zeros(0, np.int64)
+        else:
+            cnt = count(
+                p["lon"].to_numpy(zero_copy_only=False),
+                p["lat"].to_numpy(zero_copy_only=False),
+                r["lon"].to_numpy(zero_copy_only=False),
+                r["lat"].to_numpy(zero_copy_only=False),
+            )
+            pid = p["pid"].to_numpy(zero_copy_only=False)
+        nz = np.flatnonzero(cnt)
+        return pa.table(
+            {
+                "pid": pa.array(pid[nz], pa.int64()),
+                "partial_n": pa.array(cnt[nz], pa.int64()),
+            }
+        )
+
+    keyed = probes.map_batches(
+        key_probes, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=None,
+    ).union(
+        refs.map_batches(
+            key_refs, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=None,
+        )
+    )
+    partials = (
+        ops.shuffle_coalesce(keyed)
+        .groupby("cell")
+        .map_groups(count_bucket, batch_format="pyarrow")
+    )
+    out = ops.tree_sum(
+        partials, ["pid"], {"partial_n": count_alias}, int_cols=("partial_n",)
+    )
     return out.map_batches(
-        rename, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+        lambda b: b.rename_columns([probe_id_col, count_alias]),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
     )
 
 
@@ -1268,115 +1601,38 @@ def radius_join_count_partitioned(
     """BOTH-SIDES-LARGE within-distance join, counted per probe — the
     scale twin of ``radius_join_count``, completing the broadcast/
     partitioned matrix (PIP, kNN, as-of, equality, range, radius). No
-    broadcast: references key by their single grid cell, probes
-    replicate to the exact grid cover of their ``±radius`` box (the
-    same `_cover_bboxes_grid` key function, so every (probe, ref)
-    candidate meets in EXACTLY one bucket — a ref's one cell), ONE
-    ``groupby(cell)`` co-shuffle, and each bucket builds a local
-    ``PointIndex`` over its refs and probes its probes with the same
-    exact kernel the broadcast plan uses. Per-probe partial counts from
-    different buckets merge through the combine tree. Planar metric
-    (degrees); bit-identical counts to the broadcast plan.
+    broadcast: probes replicate to the exact grid cover of their
+    ``±radius`` box (``_cover_bboxes_grid``) and meet the refs in
+    ``_radius_cover_count``'s one cell co-shuffle; each bucket builds a
+    local ``PointIndex`` over its refs and probes its probes with the same
+    exact kernel the broadcast plan uses. Planar metric (degrees);
+    bit-identical counts to the broadcast plan.
 
     Pick ``res`` (default ≈ radius) so one cell's refs fit a worker;
     probe replication is the disk cover (~9 cells at res = radius)."""
     res = _radius_res(radius, "planar", res)
-    from georay import cells as c
     from georay.index import _cover_bboxes_grid
 
-    def key_probes(batch: pa.Table) -> pa.Table:
+    def cover(batch: pa.Table):
         lon, lat = ops.point_lonlat(batch, geom_col)
         ok = np.isfinite(lon) & np.isfinite(lat)
         bbox = np.column_stack([lon - radius, lat - radius,
                                 lon + radius, lat + radius])
         keys, pidx = _cover_bboxes_grid(bbox, ok, res)
-        pid = batch[probe_id_col]
-        if isinstance(pid, pa.ChunkedArray):
-            pid = pid.combine_chunks()
-        n = keys.shape[0]
-        return pa.table(
-            {
-                "cell": pa.array(keys, pa.int64()),
-                "side": pa.array(np.zeros(n, np.int8)),
-                "pid": pid.take(pa.array(pidx)).cast(pa.int64()),
-                "lon": pa.array(lon[pidx]),
-                "lat": pa.array(lat[pidx]),
-            }
-        )
+        return keys, pidx, lon, lat
 
-    def key_refs(batch: pa.Table) -> pa.Table:
-        lon = batch[ref_lon_col].to_numpy(zero_copy_only=False)
-        lat = batch[ref_lat_col].to_numpy(zero_copy_only=False)
-        cell = c.grid_cell(lon, lat, res)
-        return pa.table(
-            {
-                "cell": pa.array(cell, pa.int64()),
-                "side": pa.array(np.ones(len(batch), np.int8)),
-                "pid": pa.array([None] * len(batch), pa.int64()),
-                "lon": pa.array(lon),
-                "lat": pa.array(lat),
-            }
-        )
-
-    keyed = probes.map_batches(
-        key_probes, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).union(
-        refs.map_batches(
-            key_refs, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-    )
-
-    def count_bucket(group: pa.Table) -> pa.Table:
-        side = group["side"].to_numpy(zero_copy_only=False)
-        p = group.filter(pa.array(side == 0))
-        r = group.filter(pa.array(side == 1))
-        empty = pa.table(
-            {
-                "pid": pa.array([], pa.int64()),
-                "partial_n": pa.array([], pa.int64()),
-            }
-        )
-        if len(p) == 0 or len(r) == 0:
-            return empty
-        idx = PointIndex.build(
-            r["lon"].to_numpy(zero_copy_only=False),
-            r["lat"].to_numpy(zero_copy_only=False),
-            np.arange(len(r), dtype=np.int64),
-            res,
-        )
+    def count(plon, plat, rlon, rlat):
         # within() candidates come from the ref grid; refs here are only
         # this bucket's cell, so candidates are exact for its probes
-        P, _, _ = idx.within(
-            p["lon"].to_numpy(zero_copy_only=False),
-            p["lat"].to_numpy(zero_copy_only=False),
-            radius,
+        idx = PointIndex.build(
+            rlon, rlat, np.arange(rlon.shape[0], dtype=np.int64), res
         )
-        counts = np.bincount(P, minlength=len(p))
-        nz = np.nonzero(counts)[0]
-        pid = p["pid"].combine_chunks() if isinstance(
-            p["pid"], pa.ChunkedArray) else p["pid"]
-        return pa.table(
-            {
-                "pid": pid.take(pa.array(nz)),
-                "partial_n": pa.array(counts[nz], pa.int64()),
-            }
-        )
+        P, _, _ = idx.within(plon, plat, radius)
+        return np.bincount(P, minlength=plon.shape[0])
 
-    partials = (
-        ops.shuffle_coalesce(keyed)
-        .groupby("cell")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
-    out = ops.tree_sum(
-        partials, ["pid"], {"partial_n": count_alias}, int_cols=("partial_n",)
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns([probe_id_col, count_alias])
-
-    return out.map_batches(
-        rename, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    return _radius_cover_count(
+        probes, refs, cover, count, res, probe_id_col, ref_lon_col,
+        ref_lat_col, count_alias,
     )
 
 
@@ -1393,26 +1649,22 @@ def radius_geodesic_count_partitioned(
     count_alias: str = "n",
 ) -> ray.data.Dataset:
     """BOTH-SIDES-LARGE GEODESIC within-distance join, counted per
-    probe — completes the geodesic family's twin column (nearest/kNN
-    gained partitioned plans in r5; this is the radius sibling of
-    ``radius_join_count_partitioned``). No broadcast: refs key by
-    their single grid cell; each probe replicates to its POLE-SAFE
-    cover — the latitude band ``|Δφ| ≤ radius/KM_PER_DEG`` crossed
-    with the longitude span evaluated at the poleward-most latitude
-    its circle reaches (``radius/(KM_PER_DEG·cos φ_max)``, full row
-    when the circle nears a pole; lon wraps mod nx) — the same
-    per-probe bound ``PointIndex.within_geodesic`` uses batch-wide,
-    but exact per probe. Every (probe, ref) true pair meets in EXACTLY
-    one bucket (the ref's cell), ONE ``groupby(cell)`` co-shuffle,
-    exact haversine filter in-bucket, per-probe partials through the
-    combine tree. Bit-identical counts to the broadcast plan.
+    probe — the radius sibling of the partitioned geodesic kNN/nearest
+    twins. No broadcast: each probe replicates to its POLE-SAFE cover —
+    the latitude band ``|Δφ| ≤ radius/KM_PER_DEG`` crossed with the
+    longitude span evaluated at the poleward-most latitude its circle
+    reaches (``radius/(KM_PER_DEG·cos φ_max)``, full row when the circle
+    nears a pole; lon wraps mod nx) — the same per-probe bound
+    ``PointIndex.within_geodesic`` uses batch-wide, but exact per probe.
+    ``_radius_cover_count`` runs the one cell co-shuffle; each bucket
+    applies the exact haversine filter. Bit-identical counts to the
+    broadcast plan.
 
     Partitioning note: near-polar probes replicate to a full latitude
-    row of cells (the broadcast plan pays the same conservative disk);
-    probes with zero refs in range emit no row (SQL GROUP BY COUNT
-    semantics, same as the broadcast/planar twins)."""
+    row of cells (the broadcast plan pays the same conservative disk)."""
     from georay import cells as c
-    from georay.kernels import KM_PER_DEG, haversine_km
+    from georay import kernels
+    from georay.kernels import KM_PER_DEG
 
     if res is None:
         n = max(refs.count(), 1)
@@ -1421,16 +1673,12 @@ def radius_geodesic_count_partitioned(
     nx = int(np.ceil(360.0 / res))
     ny = int(np.ceil(180.0 / res))
     deg_lat = radius_km / KM_PER_DEG
+    probe_xy = _xy_cols(x_col, y_col)
 
-    def key_probes(batch: pa.Table) -> pa.Table:
-        lon = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        okm = np.isfinite(lon) & np.isfinite(lat)
-        sub = batch.filter(pa.array(okm))
-        lon, lat = lon[okm], lat[okm]
-        pid = sub[probe_id_col].cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
+    def cover(batch: pa.Table):
+        lon_all, lat_all = probe_xy(batch)
+        idx = np.flatnonzero(np.isfinite(lon_all) & np.isfinite(lat_all))
+        lon, lat = lon_all[idx], lat_all[idx]
         phi = np.minimum(np.abs(lat) + deg_lat, 89.999)
         deg_lon = radius_km / (
             KM_PER_DEG * np.maximum(np.cos(np.radians(phi)), 1e-6)
@@ -1443,132 +1691,30 @@ def radius_geodesic_count_partitioned(
         ).astype(np.int64)
         col0 = np.floor((lon + 180.0) / res).astype(np.int64)
         # +1 column of slack covers the narrow wrap column (res ∤ 360)
-        half_w = np.minimum(
-            np.ceil(deg_lon / res).astype(np.int64) + 1, nx
-        )
+        half_w = np.minimum(np.ceil(deg_lon / res).astype(np.int64) + 1, nx)
         ncol = np.minimum(2 * half_w + 1, nx)
-        nrow = row_hi - row_lo + 1
-        cnt = nrow * ncol
+        cnt = (row_hi - row_lo + 1) * ncol
         tot = int(cnt.sum())
-        if tot == 0:
-            return pa.table(
-                {
-                    "cell": pa.array([], pa.int64()),
-                    "side": pa.array([], pa.int8()),
-                    "pid": pa.array([], pa.int64()),
-                    "lon": pa.array([], pa.float64()),
-                    "lat": pa.array([], pa.float64()),
-                }
-            )
-        off = np.concatenate(([0], np.cumsum(cnt)[:-1]))
+        off = np.cumsum(cnt) - cnt
         within = np.arange(tot) - np.repeat(off, cnt)
         ncol_r = np.repeat(ncol, cnt)
         rows = np.repeat(row_lo, cnt) + within // ncol_r
-        cols = (
-            np.repeat(col0 - half_w, cnt) + within % ncol_r
-        ) % nx
-        cells_ = cols * c.GRID_MULT + rows
-        return pa.table(
-            {
-                "cell": pa.array(cells_, pa.int64()),
-                "side": pa.array(np.zeros(tot, np.int8)),
-                "pid": pa.array(np.repeat(pid, cnt), pa.int64()),
-                "lon": pa.array(np.repeat(lon, cnt)),
-                "lat": pa.array(np.repeat(lat, cnt)),
-            }
-        )
+        cols = (np.repeat(col0 - half_w, cnt) + within % ncol_r) % nx
+        return cols * c.GRID_MULT + rows, np.repeat(idx, cnt), lon_all, lat_all
 
-    def key_refs(batch: pa.Table) -> pa.Table:
-        lon = batch[ref_x_col].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        lat = batch[ref_y_col].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        okm = np.isfinite(lon) & np.isfinite(lat)
-        lon, lat = lon[okm], lat[okm]
-        return pa.table(
-            {
-                "cell": pa.array(c.grid_cell(lon, lat, res), pa.int64()),
-                "side": pa.array(np.ones(lon.shape[0], np.int8)),
-                "pid": pa.array(np.full(lon.shape[0], -1), pa.int64()),
-                "lon": pa.array(lon),
-                "lat": pa.array(lat),
-            }
-        )
-
-    keyed = probes.map_batches(
-        key_probes, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    ).union(
-        refs.map_batches(
-            key_refs, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-    )
-
-    def count_bucket(group: pa.Table) -> pa.Table:
-        side = group["side"].to_numpy(zero_copy_only=False)
-        p = group.filter(pa.array(side == 0))
-        r = group.filter(pa.array(side == 1))
-        if len(p) == 0 or len(r) == 0:
-            return pa.table(
-                {
-                    "pid": pa.array([], pa.int64()),
-                    "partial_n": pa.array([], pa.int64()),
-                }
-            )
-        plon = p["lon"].to_numpy(zero_copy_only=False)
-        plat = p["lat"].to_numpy(zero_copy_only=False)
-        rlon = r["lon"].to_numpy(zero_copy_only=False)
-        rlat = r["lat"].to_numpy(zero_copy_only=False)
-        pid = p["pid"].to_numpy(zero_copy_only=False)
-        chunk = max(1, (1 << 22) // max(rlon.shape[0], 1))
-        parts = []
-        for p0 in range(0, pid.shape[0], chunk):
-            p1 = min(p0 + chunk, pid.shape[0])
-            km = haversine_km(
-                plon[p0:p1, None], plat[p0:p1, None],
+    def count(plon, plat, rlon, rlat):
+        chunk = max(1, (1 << 22) // rlon.shape[0])
+        return np.concatenate([
+            (kernels.haversine_km(
+                plon[p0:p0 + chunk, None], plat[p0:p0 + chunk, None],
                 rlon[None, :], rlat[None, :],
-            )
-            cnts = (km <= radius_km).sum(axis=1)
-            nz = np.flatnonzero(cnts)
-            if nz.size:
-                parts.append(
-                    pa.table(
-                        {
-                            "pid": pa.array(pid[p0 + nz], pa.int64()),
-                            "partial_n": pa.array(
-                                cnts[nz].astype(np.int64), pa.int64()
-                            ),
-                        }
-                    )
-                )
-        if not parts:
-            return pa.table(
-                {
-                    "pid": pa.array([], pa.int64()),
-                    "partial_n": pa.array([], pa.int64()),
-                }
-            )
-        return pa.concat_tables(parts)
+            ) <= radius_km).sum(axis=1)
+            for p0 in range(0, plon.shape[0], chunk)
+        ])
 
-    partials = (
-        ops.shuffle_coalesce(keyed)
-        .groupby("cell")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
-    out = ops.tree_sum(
-        partials, ["pid"], {"partial_n": count_alias},
-        int_cols=("partial_n",),
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns([probe_id_col, count_alias])
-
-    return out.map_batches(
-        rename, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
+    return _radius_cover_count(
+        probes, refs, cover, count, res, probe_id_col, ref_x_col,
+        ref_y_col, count_alias,
     )
 
 
@@ -2096,765 +2242,50 @@ def knn_geodesic_partitioned(
     n_pid_buckets: int = 64,
     out_d: str = "d_mkm",
     out_rank: str = "rank",
-    msg_budget: int = 100_000_000,
+    msg_budget: int = _KNN_MSG_BUDGET,
 ) -> ray.data.Dataset:
     """BOTH-SIDES-LARGE geodesic kNN join — the partitioned twin of
     ``knn_geodesic_join`` (same (quantized milli-km, ref id) total
-    order, identical rows), closing the one gap in the twin matrix:
-    no broadcast index, NO DRIVER STATE. The planar
-    ``knn_join_partitioned`` co-shuffle is the template — probe state
-    (pid, lon, lat, ring) is a DATASET whose rows ride the exchanges
-    as in-band sentinel rows; the driver holds only a per-round count.
+    order, identical rows): no broadcast index, NO DRIVER STATE.
+    ``_ring_knn`` runs the ring co-shuffle with the geodesic metric —
+    the pole-safe stopping bound of ``PointIndex.knn_geodesic`` and the
+    lat-band finish for probes that stall at a pole. Unresolved probes
+    double their ring (jumping at least to the latitude-sufficient
+    radius once their kth is known), so rounds are O(log full_cover);
+    ``max_rounds`` caps them. Each round's exchange splits into
+    hash(pid) waves of at most ``msg_budget`` message rows.
 
-    Per round: unresolved probes expand their ring-r grid disk into
-    per-cell message rows, ONE ``groupby(cell)`` co-locates them with
-    the refs, each bucket scores haversine milli-km and keeps its local
-    top-k by (mkm, rid), a combine tree (``_topk_reduce`` — mkm rides
-    the d2 column) shrinks candidates, and a ``groupby(hash(pid))``
-    merge applies the POLE-SAFE stopping bound of
-    ``PointIndex.knn_geodesic`` (georay/index.py:699): a ref outside
-    Chebyshev ring r is > r·res° away in latitude (distance ≥
-    r·res·KM_PER_DEG, meridian arc ≤ haversine) OR > r·res−slack° in
-    longitude within the probe's latitude band (distance ≥
-    2R·asin(√(cosφ₁·cosφ_max)·sin(Δλ/2))); the strict quantized
-    comparison kth_mkm < bound_mkm makes the stop bit-identical to the
-    brute scan. Unresolved probes double their ring (jumping at least
-    to the latitude-sufficient radius once their kth is known), so
-    rounds are O(log full_cover).
-
-    POLAR STALL twin: a probe whose φ_max pins at 90° has a dead
-    longitude bound and would ring-expand to half_row rounds. Once it
-    holds ≥k candidates it is diverted to a LAT-BAND finish — but
-    partitioned: every candidate at distance ≤ kth lies within
-    |Δφ| ≤ (kth+1)/1000/KM_PER_DEG (meridian arc lower-bounds
-    haversine), so the stalled probe emits one message per latitude
-    ROW of that band, refs are keyed by row, and one extra
-    ``groupby(row)`` co-shuffle + pid-bucket merge yields the exact
-    top-k (the probe's existing top-k is inside the band, so the band
-    re-scan alone is a superset of the true top-k).
-
-    BOUNDED EXCHANGE (r5): per-round message volume is
-    Σ_probes (2r+1)² rows, which after a kth-informed jump can be
-    30–50 cells per probe — at 10M+ unresolved probes a single
-    exchange would buffer hundreds of millions of rows and stall the
-    streaming executor. Each round therefore splits the unresolved set
-    into hash(pid) WAVES sized so one wave's expansion stays under
-    ``msg_budget`` rows (driver holds only the per-r histogram needed
-    to pick the wave count). Measured at 10M probes/32 cpus: a single
-    239M-row exchange stalls even with compact input; 120M-row waves
-    run clean (92.8 s total vs 128.1 s at 50M) — the 100M default
-    keeps margin under the measured stall threshold. Waves are probe-independent, so output is
-    unchanged; peak exchange volume is a deterministic budget at ANY
-    scale — the property a 256-node run needs.
-
-    Partitioning assumption (custom-operator rule): per-round candidate
-    volume ≤ k·|unresolved-in-wave|·cells-per-disk rows sharded over
-    ``n_pid_buckets`` merge groups; the stall finish additionally
-    assumes one latitude row of refs fits a task (chunked outer
-    product bounds the scoring matrix). Ref ids must be ≥ 0 (negative
-    ids are the in-band state sentinels).
+    The default ``res`` is snapped so the column count divides 360
+    EXACTLY: otherwise the wrap column is narrower than res and the seam
+    slack (nx·res − 360, up to ~res) is subtracted from every ring's
+    longitude separation — at small rings the lon bound collapses and NO
+    probe can resolve early (measured: ring-1 resolution went 0% → ~60%
+    after snapping). Ref ids must be ≥ 0.
 
     Returns (probe_id_col, ref_id_col, out_d int64 milli-km, out_rank)
     — identical rows to the broadcast ``knn_geodesic_join`` plan
     projected to ids/distance/rank.
     """
-    import ray.data as rd
-
-    from georay import cells as c
-    from georay.kernels import EARTH_RADIUS_KM, KM_PER_DEG, haversine_km
-
     if res is None:
         n = max(refs.count(), 1)
         res = float(np.clip(np.sqrt(360.0 * 180.0 / n) * 2.0, 0.25, 30.0))
-        # snap so the column count divides 360 EXACTLY: otherwise the
-        # wrap column is narrower than res and the seam slack
-        # (nx·res − 360, up to ~res) is subtracted from every ring's
-        # longitude separation — at small rings the lon bound collapses
-        # and NO probe can resolve early (measured: ring-1 resolution
-        # went 0% → ~60% after snapping)
         res = 360.0 / max(int(round(360.0 / res)), 1)
-    nx = int(np.ceil(360.0 / res))
-    ny = int(np.ceil(180.0 / res))
-    half_row = int(np.ceil(nx / 2)) + 1
-    full_cover = max(half_row, ny) + 1
-    slack = max(nx * res - 360.0, 0.0)
-    nb = np.uint64(n_pid_buckets)
-    big = np.iinfo(np.int64).max
 
-    def key_refs(batch: pa.Table) -> pa.Table:
-        lon = batch[ref_x_col].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        lat = batch[ref_y_col].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        okm = np.isfinite(lon) & np.isfinite(lat)
-        sub = batch.filter(pa.array(okm))
-        lon, lat = lon[okm], lat[okm]
-        rid = sub[ref_id_col].cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        if rid.shape[0] and int(rid.min()) < 0:
-            raise ValueError(
-                "knn_geodesic_partitioned: ref ids must be >= 0"
-            )
-        return pa.table(
-            {
-                "cell": pa.array(c.grid_cell(lon, lat, res), pa.int64()),
-                "side": pa.array(np.ones(len(sub), np.int8)),
-                "pid": pa.array(np.full(len(sub), -1), pa.int64()),
-                "rid": pa.array(rid, pa.int64()),
-                "lon": pa.array(lon),
-                "lat": pa.array(lat),
-            }
-        )
-
-    refs_keyed = refs.map_batches(
-        key_refs, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    ).materialize()
-
-    def probe_tbl(batch: pa.Table) -> pa.Table:
-        lon = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        okm = np.isfinite(lon) & np.isfinite(lat)
-        sub = batch.filter(pa.array(okm))
-        return pa.table(
-            {
-                "pid": sub[probe_id_col].cast(pa.int64()),
-                "lon": pa.array(lon[okm]),
-                "lat": pa.array(lat[okm]),
-                # start at ring 1: the r=0 stopping bound is zero (a
-                # probe can essentially never resolve from its own cell
-                # alone), so an r=0 round is a wasted global exchange —
-                # measured 10M-probe run: 95.4 s → 78.9 s
-                "r": pa.array(np.ones(int(okm.sum()), np.int64)),
-            }
-        )
-
-    un = probes.map_batches(
-        probe_tbl, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    ).materialize()
-    n_un = un.count()
-
-    def expand(batch: pa.Table) -> pa.Table:
-        pid = batch["pid"].to_numpy(zero_copy_only=False)
-        lon = batch["lon"].to_numpy(zero_copy_only=False)
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        rr = batch["r"].to_numpy(zero_copy_only=False)
-        cells_ = c.grid_cell(lon, lat, res)
-        parts = []
-        for rv in np.unique(rr):
-            m = rr == rv
-            disk = c.grid_disk(cells_[m], int(rv), nx)
-            width = disk.shape[1]
-            npm = int(m.sum())
-            parts.append(
-                pa.table(
-                    {
-                        "cell": pa.array(disk.reshape(-1), pa.int64()),
-                        "side": pa.array(np.zeros(npm * width, np.int8)),
-                        "pid": pa.array(
-                            np.repeat(pid[m], width), pa.int64()
-                        ),
-                        "rid": pa.array(
-                            np.full(npm * width, -1), pa.int64()
-                        ),
-                        "lon": pa.array(np.repeat(lon[m], width)),
-                        "lat": pa.array(np.repeat(lat[m], width)),
-                    }
-                )
-            )
-        if not parts:
-            return pa.table(
-                {
-                    "cell": pa.array([], pa.int64()),
-                    "side": pa.array([], pa.int8()),
-                    "pid": pa.array([], pa.int64()),
-                    "rid": pa.array([], pa.int64()),
-                    "lon": pa.array([], pa.float64()),
-                    "lat": pa.array([], pa.float64()),
-                }
-            )
-        return pa.concat_tables(parts)
-
-    def sentinel(batch: pa.Table) -> pa.Table:
-        """Slim probe-state rows (same scheme as the planar twin):
-        rid=-1 ring row (nc = -(r+1)), rid=-2 coord row (d2 = lon,
-        nc = lat bit-cast)."""
-        n = len(batch)
-        r = batch["r"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lon = batch["lon"].to_numpy(zero_copy_only=False)
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        pid = batch["pid"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "pid": pa.array(np.concatenate([pid, pid]), pa.int64()),
-                "rid": pa.array(
-                    np.concatenate(
-                        [np.full(n, -1, np.int64), np.full(n, -2, np.int64)]
-                    )
-                ),
-                "d2": pa.array(
-                    np.concatenate([np.full(n, np.inf), lon]), pa.float64()
-                ),
-                "nc": pa.array(
-                    np.concatenate(
-                        [-(r + 1), np.ascontiguousarray(lat).view(np.int64)]
-                    ),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    _cand_empty = pa.table(
-        {
-            "pid": pa.array([], pa.int64()),
-            "rid": pa.array([], pa.int64()),
-            "d2": pa.array([], pa.float64()),
-            "nc": pa.array([], pa.int64()),
-        }
-    )
-
-    def bucket_score(group: pa.Table) -> pa.Table:
-        side = group["side"].to_numpy(zero_copy_only=False)
-        prb = group.filter(pa.array(side == 0))
-        rf = group.filter(pa.array(side == 1))
-        if len(prb) == 0 or len(rf) == 0:
-            return _cand_empty
-        plon = prb["lon"].to_numpy(zero_copy_only=False)
-        plat = prb["lat"].to_numpy(zero_copy_only=False)
-        rlon = rf["lon"].to_numpy(zero_copy_only=False)
-        rlat = rf["lat"].to_numpy(zero_copy_only=False)
-        rids = rf["rid"].to_numpy(zero_copy_only=False)
-        pids = prb["pid"].to_numpy(zero_copy_only=False)
-        # rid-sorted refs + STABLE sort ⇒ exact-distance ties keep the
-        # (mkm, rid) total order before truncation (planar-twin lesson)
-        ro = np.argsort(rids)
-        rlon, rlat, rids = rlon[ro], rlat[ro], rids[ro]
-        km = haversine_km(
-            plon[:, None], plat[:, None], rlon[None, :], rlat[None, :]
-        )
-        mkm = np.floor(km * 1000.0 + 0.5)
-        take = min(k, rlon.shape[0])
-        top = np.argsort(mkm, axis=1, kind="stable")[:, :take]
-        rows = np.repeat(np.arange(pids.shape[0]), take)
-        cols = top.reshape(-1)
-        return pa.table(
-            {
-                "pid": pa.array(pids[rows], pa.int64()),
-                "rid": pa.array(rids[cols], pa.int64()),
-                "d2": pa.array(mkm[rows, cols], pa.float64()),
-                "nc": pa.array(
-                    np.full(rows.shape[0], rlon.shape[0], np.int64)
-                ),
-            }
-        )
-
-    def add_pb(batch: pa.Table) -> pa.Table:
-        pid = batch["pid"].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = ops._mix64(pid.view(np.uint64).copy())
-        return batch.append_column(
-            "_pb", pa.array((h % nb).astype(np.int64))
-        )
-
-    # finish-group output: flag 1 = resolved (rid/rank/d), 0 = grow
-    # ring (lon/lat/r), 2 = polar stall → lat-band finish (lon/lat,
-    # r carries kth_mkm)
-    _fin_schema = {
-        "flag": pa.int8(), "pid": pa.int64(), "rid": pa.int64(),
-        "rank": pa.int64(), "d": pa.int64(), "lon": pa.float64(),
-        "lat": pa.float64(), "r": pa.int64(),
-    }
-
-    def _fin_empty() -> pa.Table:
-        return pa.table(
-            {n_: pa.array([], t_) for n_, t_ in _fin_schema.items()}
-        )
-
-    def make_finish(final_round: bool):
-        def finish(group: pa.Table) -> pa.Table:
-            g = _topk_reduce(group.drop_columns(["_pb"]), k)
-            pid = g["pid"].to_numpy(zero_copy_only=False)
-            if pid.shape[0] == 0:
-                return _fin_empty()
-            rid = g["rid"].to_numpy(zero_copy_only=False)
-            d2 = g["d2"].to_numpy(zero_copy_only=False)
-            nc = g["nc"].to_numpy(zero_copy_only=False)
-            real = rid >= 0
-            ring_m = rid == -1
-            coord_m = rid == -2
-            rp, rd2, rrid, rnc = pid[real], d2[real], rid[real], nc[real]
-            all_pid = pid[ring_m]
-            a_r = -nc[ring_m] - 1
-            a_lon = d2[coord_m]
-            a_lat = np.ascontiguousarray(nc[coord_m]).view(np.float64)
-            out_parts = []
-            resolved_pids = np.empty(0, np.int64)
-            stalled_pids = np.empty(0, np.int64)
-            kth_of = np.full(all_pid.shape[0], big, np.int64)
-            if rp.size:
-                uq, st = np.unique(rp, return_index=True)
-                rl = np.diff(np.append(st, rp.shape[0]))
-                kth = rd2[st + rl - 1]
-                nfound = rnc[st]
-                pos = np.searchsorted(all_pid, uq)
-                r_of = a_r[pos]
-                phi1 = np.abs(a_lat[pos])
-                # pole-safe bound (PointIndex.knn_geodesic, index.py:699)
-                lat_bound = r_of * res * KM_PER_DEG
-                phi_max = np.minimum(phi1 + (r_of + 1) * res, 90.0)
-                lon_sep = np.maximum(r_of * res - slack, 0.0)
-                arg = np.sqrt(
-                    np.maximum(
-                        np.cos(np.radians(phi1))
-                        * np.cos(np.radians(phi_max)),
-                        0.0,
-                    )
-                ) * np.sin(np.radians(np.minimum(lon_sep, 180.0)) / 2.0)
-                lon_bound = (
-                    2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(arg, 1.0))
-                )
-                d_min = np.where(
-                    r_of < half_row,
-                    np.minimum(lat_bound, lon_bound), lat_bound,
-                )
-                bound_mkm = np.floor(d_min * 1000.0 + 0.5)
-                have_k = (nfound >= k) & (rl >= np.minimum(k, nfound))
-                resolved = (have_k & (kth < bound_mkm)) | (
-                    r_of >= full_cover
-                )
-                polar = (phi_max >= 90.0) & (r_of >= 1) & (
-                    r_of < half_row
-                )
-                stalled = polar & ~resolved & have_k
-                if final_round:
-                    resolved = np.ones(uq.shape[0], bool)
-                    stalled = np.zeros(uq.shape[0], bool)
-                resolved_pids = uq[resolved]
-                stalled_pids = uq[stalled]
-                kth_of[pos[have_k]] = kth[have_k].astype(np.int64)
-                if resolved_pids.size:
-                    sel = np.isin(rp, resolved_pids)
-                    within = np.arange(rp.shape[0]) - np.repeat(st, rl)
-                    nsel = int(sel.sum())
-                    out_parts.append(
-                        pa.table(
-                            {
-                                "flag": pa.array(np.ones(nsel, np.int8)),
-                                "pid": pa.array(rp[sel], pa.int64()),
-                                "rid": pa.array(rrid[sel], pa.int64()),
-                                "rank": pa.array(
-                                    within[sel] + 1, pa.int64()
-                                ),
-                                "d": pa.array(
-                                    rd2[sel].astype(np.int64), pa.int64()
-                                ),
-                                "lon": pa.array(np.zeros(nsel)),
-                                "lat": pa.array(np.zeros(nsel)),
-                                "r": pa.array(np.zeros(nsel, np.int64)),
-                            }
-                        )
-                    )
-            # ring growth: double; once kth is known, jump at least to
-            # the latitude-sufficient radius (lat_bound > kth)
-            need = np.maximum(a_r * 2, a_r + 1)
-            known = kth_of < big
-            if known.any():
-                r_lat = (
-                    np.ceil(
-                        ((kth_of[known] + 1) / 1000.0)
-                        / KM_PER_DEG / res
-                    ).astype(np.int64)
-                    + 1
-                )
-                need[known] = np.maximum(need[known], r_lat)
-            if stalled_pids.size:
-                sm = np.isin(all_pid, stalled_pids)
-                out_parts.append(
-                    pa.table(
-                        {
-                            "flag": pa.array(
-                                np.full(int(sm.sum()), 2, np.int8)
-                            ),
-                            "pid": pa.array(all_pid[sm], pa.int64()),
-                            "rid": pa.array(
-                                np.full(int(sm.sum()), -1), pa.int64()
-                            ),
-                            "rank": pa.array(
-                                np.zeros(int(sm.sum()), np.int64)
-                            ),
-                            "d": pa.array(
-                                np.zeros(int(sm.sum()), np.int64)
-                            ),
-                            "lon": pa.array(a_lon[sm], pa.float64()),
-                            "lat": pa.array(a_lat[sm], pa.float64()),
-                            "r": pa.array(kth_of[sm], pa.int64()),
-                        }
-                    )
-                )
-            still = ~np.isin(all_pid, resolved_pids) & ~np.isin(
-                all_pid, stalled_pids
-            )
-            if final_round:
-                still &= np.zeros(all_pid.shape[0], bool)
-            if still.any():
-                nst = int(still.sum())
-                out_parts.append(
-                    pa.table(
-                        {
-                            "flag": pa.array(np.zeros(nst, np.int8)),
-                            "pid": pa.array(all_pid[still], pa.int64()),
-                            "rid": pa.array(
-                                np.full(nst, -1), pa.int64()
-                            ),
-                            "rank": pa.array(np.zeros(nst, np.int64)),
-                            "d": pa.array(np.zeros(nst, np.int64)),
-                            "lon": pa.array(a_lon[still], pa.float64()),
-                            "lat": pa.array(a_lat[still], pa.float64()),
-                            "r": pa.array(
-                                np.minimum(need[still], full_cover),
-                                pa.int64(),
-                            ),
-                        }
-                    )
-                )
-            if not out_parts:
-                return _fin_empty()
-            return pa.concat_tables(out_parts)
-
-        return finish
-
-    def r_histogram(ds_un: ray.data.Dataset) -> dict[int, int]:
-        """Per-ring unresolved counts (tiny: ≤ log(full_cover) distinct
-        rings) — drives the wave-count choice; the driver never holds
-        probe rows."""
-        def partial(batch: pa.Table) -> pa.Table:
-            rr = batch["r"].to_numpy(zero_copy_only=False)
-            vals, cnts = np.unique(rr, return_counts=True)
-            return pa.table({
-                "rv": pa.array(vals.astype(np.int64), pa.int64()),
-                "c": pa.array(cnts.astype(np.int64), pa.int64()),
-            })
-
-        h = ops.tree_sum(
-            ds_un.map_batches(
-                partial, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            ),
-            "rv", {"c": "c"}, int_cols=("c",),
-        ).to_pandas()
-        return dict(zip(h["rv"].astype(int), h["c"].astype(int)))
-
-    import os as _os
-    import time as _time
-
-    _dbg = bool(_os.environ.get("GEORAY_KNN_DEBUG"))
-    results: list[ray.data.Dataset] = []
-    stalls: list[ray.data.Dataset] = []
-    rounds = 0
-    while n_un and rounds <= max_rounds:
-        rounds += 1
-        _t0 = _time.time()
-        # bounded exchange: split this round into hash(pid) waves so
-        # one wave's disk expansion stays under msg_budget rows
-        hist = r_histogram(un)
-        total_msgs = sum(cnt * (2 * rv + 1) ** 2 for rv, cnt in hist.items())
-        n_waves = max(1, int(np.ceil(total_msgs / msg_budget)))
-        nw = np.uint64(n_waves)
-
-        def wave_of(batch: pa.Table, w: int) -> pa.Table:
-            pid = batch["pid"].to_numpy(zero_copy_only=False).astype(
-                np.int64
-            )
-            h = ops._mix64((pid + 1).view(np.uint64).copy())
-            return batch.filter(pa.array((h % nw).astype(np.int64) == w))
-
-        fins = []
-        for w in range(n_waves):
-            uw = (
-                un
-                if n_waves == 1
-                else un.map_batches(
-                    lambda b, _w=w: wave_of(b, _w),
-                    batch_format="pyarrow", zero_copy_batch=True,
-                    batch_size=None,
-                )
-            )
-            msgs = uw.map_batches(
-                expand, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-            sent = uw.map_batches(
-                sentinel, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-            cand = (
-                msgs.union(refs_keyed)
-                .groupby("cell")
-                .map_groups(bucket_score, batch_format="pyarrow")
-            )
-            combined = cand.union(sent).map_batches(
-                lambda b: _topk_reduce(b, k),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-                batch_size=ops.COMBINE_TARGET_ROWS,
-                num_cpus=0.5,
-            )
-            fin = (
-                combined.map_batches(
-                    add_pb, batch_format="pyarrow", zero_copy_batch=True,
-                    batch_size=None,
-                )
-                .groupby("_pb")
-                .map_groups(
-                    make_finish(rounds > max_rounds),
-                    batch_format="pyarrow",
-                )
-            ).materialize()
-            fins.append(fin)
-        fin_all = fins[0]
-        for extra in fins[1:]:
-            fin_all = fin_all.union(extra)
-        results.append(
-            fin_all.map_batches(
-                lambda b: b.filter(pc.equal(b["flag"], 1)).select(
-                    ["pid", "rid", "rank", "d"]
-                ),
-                batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        stall = fin_all.map_batches(
-            lambda b: b.filter(pc.equal(b["flag"], 2)).select(
-                ["pid", "lon", "lat", "r"]
-            ),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-        ).materialize()
-        n_stall = stall.count()
-        if n_stall:
-            stalls.append(stall)
-            if _dbg:
-                print(f"[knn_geo_part]   stalled +{n_stall}", flush=True)
-        un = fin_all.map_batches(
-            lambda b: b.filter(pc.equal(b["flag"], 0)).select(
-                ["pid", "lon", "lat", "r"]
-            ),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-        ).materialize()
-        n_un = un.count()
-        # COMPACT the state: the wave unions + per-group filters leave
-        # hundreds of near-empty blocks, and feeding a fragmented input
-        # into the next round's sort multiplies shuffle metadata
-        # (map×reduce refs live on the driver — the measured 3 GiB
-        # driver-anon spike at 5M probes). Coalesce to ~250k rows/block.
-        if n_un:
-            un = un.repartition(
-                int(np.clip(n_un // 250_000, 8, 256))
-            ).materialize()
-        if _dbg:
-            import resource as _resource
-
-            print(
-                f"[knn_geo_part] round {rounds}: "
-                f"{_time.time() - _t0:.1f}s, waves={n_waves} "
-                f"(est {total_msgs} msgs), unresolved={n_un}, "
-                f"driver_rss="
-                f"{_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss / (1 << 20):.2f}GiB",
-                flush=True,
-            )
-
-    if stalls:
-        # ---- lat-band stall finish: one row-keyed co-shuffle ----
-        def key_refs_row(batch: pa.Table) -> pa.Table:
-            row = (
-                batch["cell"].to_numpy(zero_copy_only=False)
-                % c.GRID_MULT
-            )
-            return pa.table(
-                {
-                    "row": pa.array(row, pa.int64()),
-                    "side": batch["side"],
-                    "pid": batch["pid"],
-                    "rid": batch["rid"],
-                    "lon": batch["lon"],
-                    "lat": batch["lat"],
-                }
-            )
-
-        refs_rows = refs_keyed.map_batches(
-            key_refs_row, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-
-        def expand_rows(batch: pa.Table) -> pa.Table:
-            pid = batch["pid"].to_numpy(zero_copy_only=False)
-            lon = batch["lon"].to_numpy(zero_copy_only=False)
-            lat = batch["lat"].to_numpy(zero_copy_only=False)
-            kth = batch["r"].to_numpy(zero_copy_only=False)
-            dlat = ((kth + 1) / 1000.0) / KM_PER_DEG + 1e-12
-            lo = np.clip(
-                np.floor((lat - dlat + 90.0) / res), 0, ny - 1
-            ).astype(np.int64)
-            hi = np.clip(
-                np.floor((lat + dlat + 90.0) / res), 0, ny - 1
-            ).astype(np.int64)
-            cnt = hi - lo + 1
-            tot = int(cnt.sum())
-            if tot == 0:
-                return pa.table(
-                    {
-                        "row": pa.array([], pa.int64()),
-                        "side": pa.array([], pa.int8()),
-                        "pid": pa.array([], pa.int64()),
-                        "rid": pa.array([], pa.int64()),
-                        "lon": pa.array([], pa.float64()),
-                        "lat": pa.array([], pa.float64()),
-                    }
-                )
-            off = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-            rows = (
-                np.repeat(lo, cnt) + np.arange(tot) - np.repeat(off, cnt)
-            )
-            return pa.table(
-                {
-                    "row": pa.array(rows, pa.int64()),
-                    "side": pa.array(np.zeros(tot, np.int8)),
-                    "pid": pa.array(np.repeat(pid, cnt), pa.int64()),
-                    "rid": pa.array(np.full(tot, -1), pa.int64()),
-                    "lon": pa.array(np.repeat(lon, cnt)),
-                    "lat": pa.array(np.repeat(lat, cnt)),
-                }
-            )
-
-        def row_score(group: pa.Table) -> pa.Table:
-            side = group["side"].to_numpy(zero_copy_only=False)
-            prb = group.filter(pa.array(side == 0))
-            rf = group.filter(pa.array(side == 1))
-            if len(prb) == 0 or len(rf) == 0:
-                return _cand_empty
-            plon = prb["lon"].to_numpy(zero_copy_only=False)
-            plat = prb["lat"].to_numpy(zero_copy_only=False)
-            rlon = rf["lon"].to_numpy(zero_copy_only=False)
-            rlat = rf["lat"].to_numpy(zero_copy_only=False)
-            rids = rf["rid"].to_numpy(zero_copy_only=False)
-            pids = prb["pid"].to_numpy(zero_copy_only=False)
-            ro = np.argsort(rids)
-            rlon, rlat, rids = rlon[ro], rlat[ro], rids[ro]
-            take = min(k, rids.shape[0])
-            chunk = max(1, (1 << 22) // max(rids.shape[0], 1))
-            parts = []
-            for p0 in range(0, pids.shape[0], chunk):
-                p1 = min(p0 + chunk, pids.shape[0])
-                km = haversine_km(
-                    plon[p0:p1, None], plat[p0:p1, None],
-                    rlon[None, :], rlat[None, :],
-                )
-                mkm = np.floor(km * 1000.0 + 0.5)
-                top = np.argsort(mkm, axis=1, kind="stable")[:, :take]
-                rows = np.repeat(np.arange(p0, p1), take)
-                cols = top.reshape(-1)
-                parts.append(
-                    pa.table(
-                        {
-                            "pid": pa.array(pids[rows], pa.int64()),
-                            "rid": pa.array(rids[cols], pa.int64()),
-                            "d2": pa.array(
-                                mkm[rows - p0, cols], pa.float64()
-                            ),
-                            "nc": pa.array(
-                                np.full(
-                                    rows.shape[0], rids.shape[0],
-                                    np.int64,
-                                )
-                            ),
-                        }
-                    )
-                )
-            return pa.concat_tables(parts)
-
-        st_all = stalls[0]
-        for extra in stalls[1:]:
-            st_all = st_all.union(extra)
-        band_cand = (
-            st_all.map_batches(
-                expand_rows, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-            .union(refs_rows)
-            .groupby("row")
-            .map_groups(row_score, batch_format="pyarrow")
-        ).map_batches(
-            lambda b: _topk_reduce(b, k),
-            batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=ops.COMBINE_TARGET_ROWS, num_cpus=0.5,
-        )
-
-        def band_finish(group: pa.Table) -> pa.Table:
-            g = _topk_reduce(group.drop_columns(["_pb"]), k)
-            pid = g["pid"].to_numpy(zero_copy_only=False)
-            rid = g["rid"].to_numpy(zero_copy_only=False)
-            d2 = g["d2"].to_numpy(zero_copy_only=False)
-            real = rid >= 0
-            pid, rid, d2 = pid[real], rid[real], d2[real]
-            if pid.shape[0] == 0:
-                return pa.table(
-                    {
-                        "pid": pa.array([], pa.int64()),
-                        "rid": pa.array([], pa.int64()),
-                        "rank": pa.array([], pa.int64()),
-                        "d": pa.array([], pa.int64()),
-                    }
-                )
-            uq, st = np.unique(pid, return_index=True)
-            rl = np.diff(np.append(st, pid.shape[0]))
-            within = np.arange(pid.shape[0]) - np.repeat(st, rl)
-            return pa.table(
-                {
-                    "pid": pa.array(pid, pa.int64()),
-                    "rid": pa.array(rid, pa.int64()),
-                    "rank": pa.array(within + 1, pa.int64()),
-                    "d": pa.array(d2.astype(np.int64), pa.int64()),
-                }
-            )
-
-        results.append(
-            band_cand.map_batches(
-                add_pb, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-            .groupby("_pb")
-            .map_groups(band_finish, batch_format="pyarrow")
-        )
-
-    def rename(b: pa.Table) -> pa.Table:
+    def emit(b: pa.Table) -> pa.Table:
         return pa.table(
             {
                 probe_id_col: b["pid"],
                 ref_id_col: b["rid"],
-                out_d: b["d"],
+                out_d: b["d"].cast(pa.int64()),
                 out_rank: b["rank"],
             }
         )
 
-    if not results:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    probe_id_col: pa.array([], pa.int64()),
-                    ref_id_col: pa.array([], pa.int64()),
-                    out_d: pa.array([], pa.int64()),
-                    out_rank: pa.array([], pa.int64()),
-                }
-            )
-        )
-    out = results[0]
-    for extra in results[1:]:
-        out = out.union(extra)
-    return out.map_batches(
-        rename, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
+    return _ring_knn(
+        _id_points(probes, probe_id_col, "pid", _xy_cols(x_col, y_col)),
+        _id_points(refs, ref_id_col, "rid", _xy_cols(ref_x_col, ref_y_col)),
+        k, res, _GeodesicMetric(res, int(np.ceil(360.0 / res))), max_rounds,
+        n_pid_buckets, msg_budget, emit,
     )
 
 

@@ -1864,3 +1864,107 @@ def test_r5_robustness_probe_pins(ray_session, tmp_path):
         pipeline.merge_sorted_layouts([run1], str(tmp_path / "m1"))
     with pytest.raises(ValueError, match=">= 2"):
         pipeline.merge_sorted_layouts([], str(tmp_path / "m0"))
+
+
+def _lonlat_pts(ids, lon, lat, idc):
+    """(idc, lon, lat, geotag) table: one input for planar and geodesic twins."""
+    from georay.codecs import native
+    from georay.types import GeoType
+
+    geo = GeoType.point(crs="OGC:CRS84")
+    lon, lat = np.asarray(lon, float), np.asarray(lat, float)
+    return pa.table({
+        idc: pa.array(ids, pa.int64()), "lon": pa.array(lon),
+        "lat": pa.array(lat),
+    }).append_column(
+        geo.field("geotag"), native.build_points(np.column_stack([lon, lat]), geo)
+    )
+
+
+def test_refs_on_antimeridian_and_pole_match_brute(ray_session):
+    """Refs at exactly lon = 180 and lat = 90 land in column nx / row ny
+    under plain ``grid_cell``, which no probe disk or cover visits: every
+    proximity twin (partitioned and broadcast, geodesic and planar) must
+    still find them, as a NumPy brute force does."""
+    import ray.data as rd
+
+    from georay import joins
+    from georay.kernels import haversine_km
+
+    rl, rp = np.array([180.0, 170.0, 0.0, 10.0]), np.array([0.0, 0.0, 90.0, 80.0])
+    rid = np.arange(4, dtype=np.int64)
+    pl, pp = np.array([179.5, 5.0]), np.array([0.0, 89.5])
+    probes = rd.from_arrow(_lonlat_pts([0, 1], pl, pp, "pid"))
+    refs = rd.from_arrow(_lonlat_pts(rid, rl, rp, "rid"))
+
+    km = haversine_km(pl[:, None], pp[:, None], rl[None, :], rp[None, :])
+    mkm = np.floor(km * 1000.0 + 0.5).astype(np.int64)
+    want = {(p, int(mkm[p].argmin()), int(mkm[p].min())) for p in (0, 1)}
+    assert {(p, r) for p, r, _ in want} == {(0, 0), (1, 2)}
+
+    def rows(df, d="d_mkm"):
+        return set(zip(df["pid"], df["rid"], df[d]))
+
+    knn = joins.knn_geodesic_partitioned(probes, refs, k=1).to_pandas()
+    assert rows(knn) == want and set(knn["rank"]) == {1}
+    assert rows(joins.nearest_geodesic_partitioned(probes, refs).to_pandas()) == want
+    for cutoff in (0, 1 << 30):  # grid-index plan and brute plan
+        bk = joins.knn_geodesic_join(
+            probes, rl, rp, rid, k=1, out_id="rid", brute_cutoff=cutoff
+        ).to_pandas()
+        assert rows(bk) == want, cutoff
+        bn = joins.nearest_geodesic_join(
+            probes, rl, rp, rid, out_id="rid", brute_cutoff=cutoff
+        ).to_pandas()
+        assert rows(bn) == want, cutoff
+
+    n_km = {p: int(c) for p, c in enumerate((km <= 120.0).sum(axis=1)) if c}
+    assert n_km == {0: 1, 1: 1}
+    got = joins.radius_geodesic_count_partitioned(
+        probes, refs, radius_km=120.0
+    ).to_pandas()
+    assert dict(zip(got["pid"], got["n"])) == n_km
+    got = joins.radius_join_count(
+        probes, rl, rp, rid, 120.0, probe_id_col="pid", metric="haversine"
+    ).to_pandas()
+    assert dict(zip(got["pid"], got["n"])) == n_km
+
+    # planar twins: degrees, no wrap in the metric
+    d2 = (pl[:, None] - rl[None, :]) ** 2 + (pp[:, None] - rp[None, :]) ** 2
+    assert d2.argmin(axis=1).tolist() == [0, 2]
+    part = joins.knn_join_partitioned(
+        probes, refs, k=1, probe_id_col="pid", ref_id_col="rid"
+    ).to_pandas()
+    assert set(zip(part["pid"], part["rid"])) == {(0, 0), (1, 2)}
+    bc = joins.knn_join(probes, rl, rp, rid, k=1, id_out="rid").to_pandas()
+    assert set(zip(bc["pid"], bc["rid"])) == {(0, 0), (1, 2)}
+    n_deg = {p: int(c) for p, c in enumerate((d2 <= 36.0).sum(axis=1)) if c}
+    assert n_deg == {0: 1, 1: 1}
+    for got in (
+        joins.radius_join_count_partitioned(probes, refs, 6.0, probe_id_col="pid"),
+        joins.radius_join_count(probes, rl, rp, rid, 6.0, probe_id_col="pid"),
+    ):
+        df = got.to_pandas()
+        assert dict(zip(df["pid"], df["n"])) == n_deg
+
+
+def test_knn_partitioned_rejects_negative_ref_ids(ray_session):
+    """Ref ids −1 and −2 are the ring engine's in-band probe-state
+    sentinels: both metrics refuse negative ref ids loudly instead of
+    silently dropping the probe's neighbours (the broadcast ``knn_join``
+    returns (1, −1, 1), (1, 7, 2) here)."""
+    import ray.data as rd
+
+    from georay import joins
+
+    probes = rd.from_arrow(_lonlat_pts([1], [0.0], [0.0], "pid"))
+    refs = rd.from_arrow(_lonlat_pts([-1, 7], [0.5, 1.0], [0.0, 0.0], "rid"))
+    # the ValueError is raised in the ref-keying task; Ray re-raises it
+    # in the caller wrapped in its task error, message included
+    msg = "ValueError: partitioned kNN: ref ids must be >= 0"
+    with pytest.raises(Exception, match=msg):
+        joins.knn_join_partitioned(
+            probes, refs, k=2, res=4.0, probe_id_col="pid", ref_id_col="rid"
+        ).take_all()
+    with pytest.raises(Exception, match=msg):
+        joins.knn_geodesic_partitioned(probes, refs, k=2).take_all()

@@ -3694,3 +3694,64 @@ def test_knn_geodesic_partitioned_unsnapped_res(ray_session):
     assert set(zip(bc["pid"], bc["rid"], bc["d_mkm"], bc["rank"])) == set(
         zip(pt["pid"], pt["rid"], pt["d_mkm"], pt["rank"])
     )
+
+
+def test_knn_partitioned_waves_match_one_exchange(ray_session, monkeypatch, capsys):
+    """A tiny ``msg_budget`` splits every ring round into several
+    hash(pid) waves; the rows must equal the single-exchange default run,
+    for the geodesic twin and for the planar metric through the same
+    ring engine (its public twin has no budget parameter)."""
+    import re
+
+    import ray.data as rd
+
+    from georay import joins
+
+    rng = np.random.default_rng(23)
+    rlon, rlat = rng.uniform(-180, 180, 150), rng.uniform(-89, 89, 150)
+    plon = np.concatenate([rng.uniform(-180, 180, 200), [179.9, 0.0]])
+    plat = np.concatenate([rng.uniform(-85, 85, 200), [0.0, 89.9]])
+    geo = GeoType.point()
+
+    def pts(idc, ids, lon, lat):
+        return rd.from_arrow(pa.table({
+            idc: pa.array(ids, pa.int64()), "lon": pa.array(lon),
+            "lat": pa.array(lat),
+        }).append_column(
+            geo.field("geotag"),
+            native.build_points(np.column_stack([lon, lat]), geo),
+        ))
+
+    probes = pts("pid", np.arange(plon.shape[0]), plon, plat)
+    refs = pts("rid", np.arange(rlon.shape[0]), rlon, rlat)
+
+    def key(df, cols):
+        return set(map(tuple, df[cols].itertuples(index=False)))
+
+    def waves(out: str) -> int:
+        return max(int(w) for w in re.findall(r"waves=(\d+)", out))
+
+    monkeypatch.setenv("GEORAY_KNN_DEBUG", "1")
+    cols = ["pid", "rid", "d_mkm", "rank"]
+    one = joins.knn_geodesic_partitioned(probes, refs, k=3).to_pandas()
+    assert waves(capsys.readouterr().out) == 1
+    many = joins.knn_geodesic_partitioned(
+        probes, refs, k=3, msg_budget=1000
+    ).to_pandas()
+    assert waves(capsys.readouterr().out) > 1
+    assert len(one) == 3 * plon.shape[0] and key(one, cols) == key(many, cols)
+
+    res = 20.0
+    cols = ["pid", "rid", "knn_rank"]
+    one = joins.knn_join_partitioned(
+        probes, refs, k=3, res=res, probe_id_col="pid", ref_id_col="rid"
+    ).to_pandas()
+    capsys.readouterr()
+    many = joins._ring_knn(
+        probes.select_columns(["pid", "lon", "lat"]),
+        refs.select_columns(["rid", "lon", "lat"]),
+        3, res, joins._PlanarMetric(res), 16, 64, 1000,
+        lambda b: b.select(["pid", "rid", "rank"]).rename_columns(cols),
+    ).to_pandas()
+    assert waves(capsys.readouterr().out) > 1
+    assert len(one) == 3 * plon.shape[0] and key(one, cols) == key(many, cols)
