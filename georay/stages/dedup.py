@@ -3,22 +3,23 @@
 Scale shapes:
 - exact: fingerprint per batch (map-side) → ``groupby(fingerprint)``
   keep-first — one shuffle of (id, fingerprint) pairs only.
-- MinHash-LSH: per-batch shingle→signature (densified OPH, one pass) →
-  explode to (band, band_hash, doc_id, sig) rows → ``groupby`` buckets →
-  candidate pairs (estimate-prefiltered in-band) → exact-Jaccard verify
-  (``verify_pairs_distributed``: broadcast pair list + one shingle-set
-  shuffle by default; two hash joins as the unbounded-pairs fallback) →
-  distributed connected components (min-label propagation,
-  ``georay.stages.components``). No stage materializes the corpus on
-  the driver.
+- MinHash-LSH (``minhash_dedup``): per batch, one flat-buffer shingle
+  pass and OPH signatures → explode to (band, band_hash, doc_id,
+  sig_low, text) rows, sig_low being the low byte of each of the 64
+  mins → ONE ``groupby("band")`` exchange whose reducer pairs bucket
+  members, prefilters them on the low bytes, re-shingles only the docs
+  of surviving pairs, applies the full estimate floor and verifies
+  exact Jaccard in place → distributed connected components
+  (min-label propagation, ``georay.stages.components``). Two Ray Data
+  executions; no stage materializes the corpus or the candidate pairs
+  on the driver. ``verify_pairs_distributed`` verifies an arbitrary
+  candidate list against the corpus.
 - SimHash: 64-bit signature per doc; near-dup candidates share one of
   four 16-bit bands (Hamming ≤ 3 ⇒ at least one band equal by
   pigeonhole when the 3 differing bits fall in ≤3 bands).
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 import pyarrow as pa
@@ -48,7 +49,6 @@ N_HASHES = 64
 # (8×8 banding caught only ~77% of true 0.8-duplicates); the exact-Jaccard
 # verify stage prunes the extra moderate-similarity candidates.
 N_BANDS = 16
-_MERSENNE = (1 << 61) - 1
 
 
 _POLY_BASE = np.uint64(1099511628211)  # FNV-ish odd base; wraps mod 2^64
@@ -77,30 +77,144 @@ def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
     return np.unique(h)
 
 
-def _hash_params(n: int = N_HASHES, seed: int = 7):
-    """Multiply-add mod 2^64 family: A forced ODD so x → A·x+B is a
-    BIJECTION of Z_2^64 (a true permutation family for minhash) and the
-    wrap is free — no per-element integer division, which dominated the
-    signature kernel's profile at ~10M modulo ops per 78-doc batch."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, _MERSENNE, n, dtype=np.int64).astype(np.uint64) | np.uint64(1)
-    b = rng.integers(0, _MERSENNE, n, dtype=np.int64).astype(np.uint64)
-    return a, b
+# the ASCII bytes Python's ``\s`` matches (``str.isspace``): \t \n \v \f
+# \r, the \x1c-\x1f separators and space; and ASCII ``str.lower``
+_ASCII_WS = np.zeros(256, dtype=bool)
+_ASCII_WS[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_ASCII_LOWER = np.arange(256, dtype=np.uint8)
+_ASCII_LOWER[65:91] += 32
 
 
-_A, _B = _hash_params()
+def _sorted_unique_per_doc(h: np.ndarray, counts: np.ndarray, keep=None):
+    """Sort each doc's hashes and drop repeats: (hashes, counts) in, the
+    same form out; with ``keep`` (bool per doc) the other docs come out
+    empty. One argsort of a packed (doc, top hash bits) key, ~13× faster
+    than ``lexsort((h, doc))`` on 4.8M hashes; ties of the key are
+    repeats unless their dropped low bits are out of order (odds about
+    m²/2^(64 − bits) for a doc of m hashes, bits = the doc index width),
+    which re-sorts the batch by lexsort."""
+    n = counts.shape[0]
+    doc = np.repeat(np.arange(n, dtype=np.int64), counts)
+    if keep is not None:
+        kept = keep[doc]
+        h, doc = h[kept], doc[kept]
+    bits = max(n - 1, 1).bit_length()
+    key = (doc.astype(np.uint64) << np.uint64(64 - bits)) | (h >> np.uint64(bits))
+    order = np.argsort(key)
+    ks, hs = key[order], h[order]
+    if np.any((ks[1:] == ks[:-1]) & (hs[1:] < hs[:-1])):
+        order = np.lexsort((h, doc))
+        hs = h[order]
+    doc = doc[order]
+    first = np.ones(hs.shape[0], dtype=bool)
+    first[1:] = (hs[1:] != hs[:-1]) | (doc[1:] != doc[:-1])
+    return hs[first], np.bincount(doc[first], minlength=n)
+
+
+def _window_hashes(texts, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-shingle hash of a whole text column in one flat-buffer
+    pass: (hashes, counts), each doc's hashes back to back in doc order
+    (repeats kept, any order within a doc) plus each doc's count.
+
+    The lane handles ASCII rows: byte-level lowercasing, whitespace runs
+    collapsed to one space and trimmed (the ASCII subset of
+    ``normalize_text``), k-byte windows (docs shorter than k zero-padded
+    to one window), and the same polynomial hash and finalizer as
+    ``_shingle_hashes``. Null, non-ASCII and non-string rows bail to the
+    per-doc ``_shingle_hashes`` and are merged back in doc order."""
+    from georay.index import _ragged_ranges
+
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    elif not isinstance(texts, pa.Array):
+        texts = pa.array(list(texts), pa.large_string())
+    if not (pa.types.is_string(texts.type) or pa.types.is_large_string(texts.type)):
+        per_doc = [_shingle_hashes(t, k) for t in texts.to_pylist()]
+        counts = np.array([p.shape[0] for p in per_doc], dtype=np.int64)
+        return np.concatenate([np.empty(0, np.uint64), *per_doc]), counts
+    n = len(texts)
+    lane = pc.fill_null(pc.string_is_ascii(texts), False).to_numpy(zero_copy_only=False)
+    lane_rows = np.flatnonzero(lane)
+    txt = texts.cast(pa.large_binary())
+    offs = np.frombuffer(
+        txt.buffers()[1], dtype=np.int64, count=txt.offset + n + 1
+    )[txt.offset:]
+    buf = np.frombuffer(txt.buffers()[2] or b"", dtype=np.uint8)
+    lens = np.diff(offs)[lane_rows]
+    owner, within = _ragged_ranges(lens)
+    b = buf[offs[lane_rows][owner] + within]
+    b = _ASCII_LOWER[b]
+    ws = _ASCII_WS[b]
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    # collapse + trim: a whitespace byte survives (as one space) iff it
+    # opens its run inside a doc and the next word starts in the same doc
+    opens = ws.copy()
+    opens[1:] &= ~ws[:-1]
+    opens[starts[lens > 0]] = False
+    at = np.flatnonzero(opens)
+    word_starts = np.flatnonzero(~ws[1:] & ws[:-1]) + 1
+    nxt = np.searchsorted(word_starts, at)
+    ok = nxt < word_starts.shape[0]
+    ok[ok] = word_starts[nxt[ok]] < ends[np.searchsorted(ends, at[ok], side="right")]
+    opens[at[~ok]] = False
+    keep = ~ws | opens
+    norm = np.where(ws, np.uint8(32), b)[keep]
+    kept = np.zeros(b.shape[0] + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    nlen = kept[ends] - kept[starts]
+    short = (nlen > 0) & (nlen < k)
+    if np.any(short):
+        # zero-pad docs shorter than k to exactly one window
+        plen = np.where(short, k, nlen)
+        doc, within = _ragged_ranges(nlen)
+        padded = np.zeros(int(plen.sum()), dtype=np.uint8)
+        padded[(np.cumsum(plen) - plen)[doc] + within] = norm
+        norm, nlen = padded, plen
+    # polynomial hash of every k-byte window of the flat buffer (k slice
+    # multiply-adds); the k-1 windows that run past each doc's end drop
+    m = max(norm.shape[0] - k + 1, 0)
+    x = norm.astype(np.uint64)
+    powers = _POLY_BASE ** np.arange(k, dtype=np.uint64)
+    h = np.zeros(m, dtype=np.uint64)
+    for j in range(k):
+        h += x[j:j + m] * powers[j]
+    inside = np.ones(m, dtype=bool)
+    doc_end = np.cumsum(nlen)
+    for j in range(1, k):
+        cut = doc_end - j
+        inside[cut[(nlen >= j) & (cut < m)]] = False
+    h = h[inside]
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> np.uint64(33)
+    counts = np.zeros(n, dtype=np.int64)
+    counts[lane_rows] = np.maximum(nlen - k + 1, 0)
+    if lane_rows.shape[0] == n:
+        return h, counts
+    bail = np.flatnonzero(~lane)
+    per_doc = [_shingle_hashes(texts[int(i)].as_py(), k) for i in bail]
+    counts[bail] = [p.shape[0] for p in per_doc]
+    # a stable sort by doc index merges the two lanes in doc order
+    docs = np.concatenate(
+        [np.repeat(lane_rows, counts[lane_rows]), np.repeat(bail, counts[bail])]
+    )
+    merged = np.concatenate([h, *per_doc])
+    return merged[np.argsort(docs, kind="stable")], counts
+
+
+def _shingles_batch(texts, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """``_shingle_hashes`` for a whole text column: (hashes, counts), the
+    sorted-unique uint64 shingle hashes of every doc back to back plus
+    each doc's count (``_window_hashes`` + one sort dedup)."""
+    return _sorted_unique_per_doc(*_window_hashes(texts, k))
 
 
 assert N_HASHES & (N_HASHES - 1) == 0, "OPH binning needs power-of-two N_HASHES"
 _BIN_SHIFT = np.uint64(64 - (N_HASHES.bit_length() - 1))
 
 
-def minhash_signature(text: str, k: int = 5) -> np.ndarray:
-    """(N_HASHES,) uint64 signature; empty docs → all-max sentinel."""
-    return minhash_signatures_batch([text], k)[0]
-
-
-def minhash_signatures_batch(texts: list, k: int = 5) -> np.ndarray:
+def minhash_signatures_batch(texts, k: int = 5) -> np.ndarray:
     """(n_docs, N_HASHES) signatures by densified ONE-permutation hashing
     (Li/Owen/Zhang OPH with circular borrowing): each shingle hash lands
     in the bin given by its top 6 bits, signature = min per bin, empty
@@ -110,25 +224,25 @@ def minhash_signatures_batch(texts: list, k: int = 5) -> np.ndarray:
     per 5k docs). A deterministic function of the shingle SET: identical
     texts ⇒ identical signatures (the invariant every planted oracle and
     banding bucket relies on); bin-collision rate estimates Jaccard like
-    plain minhash. Empty docs → all-max sentinel row."""
-    per_doc = [_shingle_hashes(t, k) for t in texts]
-    counts = np.array([p.shape[0] for p in per_doc], dtype=np.int64)
-    n = len(texts)
+    plain minhash. Empty docs → all-max sentinel row.
+
+    ``texts``: a sequence of str, an Arrow string column, or a
+    ``(hashes, counts)`` pair of arrays as ``_window_hashes`` returns it (a min per
+    bin, so repeats and order within a doc do not matter)."""
+    pre_hashed = (
+        isinstance(texts, tuple) and len(texts) == 2 and isinstance(texts[1], np.ndarray)
+    )
+    h, counts = texts if pre_hashed else _window_hashes(texts, k)
+    n = counts.shape[0]
     maxv = np.iinfo(np.uint64).max
     sigs = np.full((n, N_HASHES), maxv, dtype=np.uint64)
     nz = counts > 0
     if not np.any(nz):
         return sigs
-    h = np.concatenate([p for p in per_doc if p.shape[0]])
-    doc_idx = np.repeat(np.flatnonzero(nz), counts[nz])
-    bins = (h >> _BIN_SHIFT).astype(np.int64)  # top bits → N_HASHES bins
-    key = doc_idx * N_HASHES + bins
-    order = np.argsort(key, kind="stable")
-    ks, vs = key[order], h[order]
-    newk = np.ones(ks.shape[0], dtype=bool)
-    newk[1:] = ks[1:] != ks[:-1]
-    starts = np.flatnonzero(newk)
-    sigs.reshape(-1)[ks[starts]] = np.minimum.reduceat(vs, starts)
+    # top bits → N_HASHES bins; one unbuffered min per (doc, bin) slot
+    key = np.repeat(np.arange(n, dtype=np.int64) * N_HASHES, counts)
+    key += (h >> _BIN_SHIFT).astype(np.int64)
+    np.minimum.at(sigs.reshape(-1), key, h)
     # densify: circular forward fill of empty bins (rows with ≥1 filled)
     rows = np.flatnonzero(nz)
     m = sigs[rows]
@@ -150,115 +264,128 @@ def jaccard_shingles(a: str, b: str, k: int = 5) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _band_rows_batch(batch: pa.Table, text_col: str, id_col: str, k: int) -> pa.Table:
-    """Explode each doc into N_BANDS (band, band_hash, id, sig) rows —
-    signatures and band hashes computed batch-vectorized. Each row carries
-    the doc's FULL signature (fixed-size list, 512 B) so the band reducer
-    can compute the MinHash Jaccard ESTIMATE for every candidate pair
-    in-group and prune low-estimate noise before any text/shingle shuffle
-    — the standard LSH + estimate-prefilter design."""
-    texts = batch[text_col].to_pylist()
-    ids = batch[id_col].to_numpy(zero_copy_only=False)
-    n = len(texts)
+def _band_hashes(sigs: np.ndarray) -> np.ndarray:
+    """(n, N_BANDS) int64 LSH bucket hashes: each band's rows mixed into
+    one 64-bit value (vectorized)."""
     rows_per = N_HASHES // N_BANDS
-    sigs = minhash_signatures_batch(texts, k)  # (n, N_HASHES)
-    bands = sigs.reshape(n, N_BANDS, rows_per)
-    # mix the band rows into one 64-bit bucket hash (vectorized)
-    bh = np.zeros((n, N_BANDS), dtype=np.uint64)
+    bands = sigs.reshape(sigs.shape[0], N_BANDS, rows_per)
+    bh = np.zeros((sigs.shape[0], N_BANDS), dtype=np.uint64)
     for r in range(rows_per):
         bh ^= bands[:, :, r] + np.uint64(0x9E3779B97F4A7C15)
         bh *= np.uint64(0xBF58476D1CE4E5B9)
         bh ^= bh >> np.uint64(31)
-    band_ids = np.tile(np.arange(N_BANDS, dtype=np.int64), n)
-    sig_rep = np.repeat(sigs.view(np.int64), N_BANDS, axis=0)  # (n*N_BANDS, 64)
-    sig_col = pa.FixedSizeListArray.from_arrays(
-        pa.array(sig_rep.reshape(-1), pa.int64()), N_HASHES
+    return bh.view(np.int64)
+
+
+def _sig_low_column(sigs: np.ndarray) -> pa.Array:
+    """The low byte of every signature min as a
+    ``fixed_size_binary(N_HASHES)`` column (64 B per doc). Equal mins
+    have equal low bytes, so an estimate from these bytes is never below
+    the full-signature estimate."""
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(N_HASHES), sigs.shape[0], [None, pa.py_buffer(sigs.astype(np.uint8).tobytes())]
     )
+
+
+def _sig_low_bytes(col) -> np.ndarray:
+    """(n, N_HASHES) uint8 view of a ``_sig_low_column`` column."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    raw = np.frombuffer(col.buffers()[1], dtype=np.uint8)
+    return raw[col.offset * N_HASHES:(col.offset + len(col)) * N_HASHES].reshape(-1, N_HASHES)
+
+
+def _set_jaccard(h: np.ndarray, counts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact Jaccard of the shingle sets of docs ``a[i]`` and ``b[i]``,
+    vectorized over pairs. ``h``/``counts`` hold each doc's sorted-unique
+    hashes back to back; per pair both sets are laid side by side and
+    deduped, so |a ∪ b| is the pair's unique count and |a ∩ b| the rest.
+    Both empty → 1.0, one empty → 0.0."""
+    from georay.index import _ragged_ranges
+
+    starts = np.cumsum(counts) - counts
+    na, nb = counts[a], counts[b]
+    pair, within = _ragged_ranges(na + nb)
+    in_a = within < na[pair]
+    src = np.where(in_a, starts[a][pair], starts[b][pair] - na[pair]) + within
+    _, union = _sorted_unique_per_doc(h[src], na + nb)
+    inter = na + nb - union
+    jac = np.ones(a.shape[0], dtype=np.float64)
+    np.divide(inter, union, out=jac, where=union > 0)
+    return jac
+
+
+def _verified_band_pairs(
+    group: pa.Table, text_col: str, id_col: str, k: int, threshold: float
+) -> pa.Table:
+    """Verified near-duplicate pairs of ONE band: sort rows by (bucket
+    hash, id), pair each bucket member with the next W = 50 members
+    (caps the O(m²) blowup of degenerate all-identical buckets at m·W
+    pairs while still chaining every member into one component), drop
+    pairs whose 64-hash MinHash estimate is below ``threshold`` − 3σ
+    (σ = √(j(1−j)/64) ≈ 0.06), and keep those whose exact shingle
+    Jaccard is ≥ ``threshold``. The estimate runs twice: first on the
+    rows' low signature bytes (equal mins have equal low bytes, so it
+    keeps a superset of the pairs), then on full signatures re-signed
+    from the texts of only the docs in surviving pairs. Each row is
+    verified against its own text, so a duplicated doc id never stands
+    in for another copy."""
+    from georay.index import _ragged_ranges
+
+    empty = pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())})
+    ids = group[id_col].to_numpy(zero_copy_only=False)
+    hs = group["band_hash"].to_numpy(zero_copy_only=False)
+    if ids.shape[0] < 2:
+        return empty
+    order = np.lexsort((ids, hs))
+    hs_s, ids_s = hs[order], ids[order]
+    new = np.ones(hs_s.shape[0], dtype=bool)
+    new[1:] = hs_s[1:] != hs_s[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, hs_s.shape[0]))
+    a_parts, b_parts = [], []
+    for w in range(1, 51):
+        # pair element i with element i+w within each bucket
+        elig = sizes > w
+        if not np.any(elig):
+            break
+        cnts = sizes[elig] - w
+        _, within = _ragged_ranges(cnts)
+        base = np.repeat(starts[elig], cnts) + within
+        a_parts.append(base)
+        b_parts.append(base + w)
+    if not a_parts:
+        return empty
+    pos_a, pos_b = np.concatenate(a_parts), np.concatenate(b_parts)
+    est_floor = threshold - 0.18
+    if est_floor > 0:
+        low = _sig_low_bytes(group["sig_low"])[order]
+        ok = (low[pos_a] == low[pos_b]).mean(axis=1) >= est_floor
+        pos_a, pos_b = pos_a[ok], pos_b[ok]
+        if pos_a.shape[0] == 0:
+            return empty
+    # shingle only the docs some surviving pair needs
+    needed = np.zeros(order.shape[0], dtype=bool)
+    needed[pos_a] = needed[pos_b] = True
+    compact = np.cumsum(needed) - 1
+    ca, cb = compact[pos_a], compact[pos_b]
+    h, counts = _window_hashes(group[text_col].take(pa.array(order[needed])), k)
+    if est_floor > 0:
+        sigs = minhash_signatures_batch((h, counts), k)
+        ok = (sigs[ca] == sigs[cb]).mean(axis=1) >= est_floor
+        pos_a, pos_b, ca, cb = pos_a[ok], pos_b[ok], ca[ok], cb[ok]
+    # exact sets of only the docs some pair still needs
+    used = np.zeros(counts.shape[0], dtype=bool)
+    used[ca] = used[cb] = True
+    h, counts = _sorted_unique_per_doc(h, counts, used)
+    keep = _set_jaccard(h, counts, ca, cb) >= threshold
+    a, b = ids_s[pos_a[keep]], ids_s[pos_b[keep]]
     return pa.table(
         {
-            "band": pa.array(band_ids),
-            "band_hash": pa.array(bh.reshape(-1).view(np.int64)),
-            id_col: pa.array(np.repeat(ids, N_BANDS)),
-            "sig": sig_col,
+            "id_a": pa.array(np.minimum(a, b), pa.int64()),
+            "id_b": pa.array(np.maximum(a, b), pa.int64()),
         }
     )
-
-
-def minhash_candidate_pairs(
-    ds: ray.data.Dataset,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    shingle_k: int = 5,
-    est_floor: float | None = None,
-) -> ray.data.Dataset:
-    """(id_a, id_b) candidate pairs sharing ≥1 LSH band bucket.
-
-    ``est_floor``: prune pairs whose 64-hash MinHash Jaccard ESTIMATE is
-    below this (callers pass verify-threshold − 3σ, σ = √(j(1−j)/64) ≈
-    0.06) — prunes the moderate-similarity candidate flood band-side,
-    before any text or shingle set crosses the wire. Exact duplicates
-    estimate 1.0 and always survive."""
-    bands = ds.map_batches(
-        lambda b: _band_rows_batch(b, text_col, id_col, shingle_k),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=None,
-    )
-
-    def pairs_of_band(group: pa.Table) -> pa.Table:
-        """All candidate pairs of ONE band, vectorized over its hash
-        buckets (sort + boundary diff + ragged pair expansion); adjacent
-        pairing within a bucket caps the O(m²) blowup of degenerate
-        all-identical buckets at m·W pairs (W=50) while still chaining
-        every member into one connected component."""
-        ids = group[id_col].to_numpy(zero_copy_only=False)
-        hs = group["band_hash"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, hs))
-        hs_s, ids_s = hs[order], ids[order]
-        empty = pa.table(
-            {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}
-        )
-        if ids_s.shape[0] < 2:
-            return empty
-        sig_mat = (
-            group["sig"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
-            .reshape(len(group), N_HASHES)[order]
-        )
-        new = np.ones(hs_s.shape[0], dtype=bool)
-        new[1:] = hs_s[1:] != hs_s[:-1]
-        starts = np.nonzero(new)[0]
-        sizes = np.diff(np.append(starts, hs_s.shape[0]))
-        a_parts, b_parts = [], []
-        W = 50
-        for w in range(1, W + 1):
-            # pair element i with element i+w within each bucket
-            elig = sizes > w
-            if not np.any(elig):
-                break
-            cnts = sizes[elig] - w
-            from georay.index import _ragged_ranges
-
-            owner, within = _ragged_ranges(cnts)
-            base = np.repeat(starts[elig], cnts) + within
-            if est_floor is not None and est_floor > 0:
-                est = (sig_mat[base] == sig_mat[base + w]).mean(axis=1)
-                ok = est >= est_floor
-                base = base[ok]
-            a_parts.append(ids_s[base])
-            b_parts.append(ids_s[base + w])
-        if not a_parts:
-            return empty
-        a = np.concatenate(a_parts)
-        b = np.concatenate(b_parts)
-        if a.shape[0] == 0:
-            return empty
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return pa.table(
-            {"id_a": pa.array(lo, pa.int64()), "id_b": pa.array(hi, pa.int64())}
-        )
-
-    return bands.groupby("band").map_groups(pairs_of_band, batch_format="pyarrow")
 
 
 def verify_pairs_distributed(
@@ -270,8 +397,10 @@ def verify_pairs_distributed(
     shingle_k: int = 5,
     strategy: str = "broadcast",
 ) -> ray.data.Dataset:
-    """Exact-Jaccard verification of candidate (id_a, id_b) pairs with NO
-    driver materialization of TEXTS. Two physical plans:
+    """Exact-Jaccard verification of an arbitrary candidate (id_a, id_b)
+    pair list against the corpus, with NO driver materialization of
+    TEXTS (``minhash_dedup`` verifies inside its band exchange instead).
+    Two physical plans:
 
     - ``broadcast`` (default): the deduped pair list — the SMALL side,
       proportional to the near-duplicate count, never the corpus — is
@@ -501,28 +630,59 @@ def minhash_dedup(
 ) -> ray.data.Dataset:
     """Full near-dup pipeline → Dataset (doc_id, cluster_id, is_dup).
 
-    Every stage is distributed: LSH candidate generation (banded groupby),
-    exact-Jaccard verification (pair↔text co-shuffle, see
-    ``verify_pairs_distributed``), and connected components (min-label
-    propagation via groupby, ``georay.stages.components``). The only
-    driver-side table is the (node → component label) map for the
-    verified-duplicate nodes — the broadcast small side, proportional to
-    the number of duplicates, never the corpus — shipped once via
-    ``ray.put`` and joined back to the full id column per batch.
+    Two Ray Data executions over one sort exchange:
+
+    1. map: per batch, shingle the text column in one flat-buffer pass,
+       sign it (OPH) and explode every doc into N_BANDS
+       (band, band_hash, id, sig_low, text) rows — band keys, the low
+       byte of each signature min (64 B) and the doc's own text;
+    2. ``groupby("band")`` reducer: bucket the band's rows, pair bucket
+       members (adjacent-W), drop pairs below the estimate floor on the
+       low bytes, re-shingle and sign only the docs of surviving pairs,
+       apply the same floor on full signatures and verify exact Jaccard
+       in place (``_verified_band_pairs``) — a pair found in several
+       bands is emitted once per band;
+    3. connected components over the verified pairs (min-label
+       propagation, ``georay.stages.components``; duplicate edges are
+       harmless), whose edge list is the first execution's output;
+    4. assign: the (node → component label) map of the verified-duplicate
+       nodes — the broadcast small side, proportional to the number of
+       duplicates, never the corpus — is shipped once via ``ray.put`` and
+       joined back to the id column per batch (the second execution).
 
     cluster_id = min doc id in the connected component of verified pairs
     (Jaccard ≥ threshold); is_dup marks non-representative members.
     """
     from georay.stages.components import connected_components
 
-    # estimate-prefilter at threshold − 3σ of the 64-hash estimator
-    cand = minhash_candidate_pairs(
-        ds, text_col, id_col, shingle_k, est_floor=max(0.0, threshold - 0.18)
+    def band_rows(batch: pa.Table) -> pa.Table:
+        txt = batch[text_col]
+        if pa.types.is_string(txt.type):
+            txt = txt.cast(pa.large_string())  # 16× take stays in int64 offsets
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        n = len(batch)
+        sigs = minhash_signatures_batch(txt, shingle_k)
+        rep = pa.array(np.repeat(np.arange(n), N_BANDS))
+        return pa.table(
+            {
+                "band": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int64), n)),
+                "band_hash": pa.array(_band_hashes(sigs).reshape(-1)),
+                id_col: pa.array(np.repeat(ids, N_BANDS)),
+                "sig_low": _sig_low_column(sigs).take(rep),
+                text_col: txt.take(rep),
+            }
+        )
+
+    pairs = (
+        ds.select_columns([id_col, text_col])
+        .map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+        .groupby("band")
+        .map_groups(
+            lambda g: _verified_band_pairs(g, text_col, id_col, shingle_k, threshold),
+            batch_format="pyarrow",
+        )
     )
-    verified = verify_pairs_distributed(
-        ds, cand, text_col, id_col, threshold, shingle_k
-    )
-    labels = connected_components(verified)
+    labels = connected_components(pairs)
     nodes = labels["node"].to_numpy(zero_copy_only=False)
     labs = labels["label"].to_numpy(zero_copy_only=False)
     label_ref = ray.put((nodes, labs))

@@ -4354,8 +4354,8 @@ def q_minhash_planted(sf_dir: str):
         return pa.table({"doc_id": pa.array(new_ids, pa.int64()), "text": sub["text"]})
 
     planted = ds.map_batches(plant, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    # the dedup pipeline consumes its input three times (signatures,
-    # pair-verify, final assign); materialize the planted union once so
+    # the dedup pipeline consumes its input twice (band exchange, final
+    # assign); materialize the planted union once so
     # the plant chain isn't re-executed per consumer (test-harness table,
     # bounded — a production corpus would just be re-read from parquet)
     both = ds.union(planted).materialize()

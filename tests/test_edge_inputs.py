@@ -1968,3 +1968,47 @@ def test_knn_partitioned_rejects_negative_ref_ids(ray_session):
         ).take_all()
     with pytest.raises(Exception, match=msg):
         joins.knn_geodesic_partitioned(probes, refs, k=2).take_all()
+
+
+def _dedup_labels(rows):
+    import ray.data as rd
+
+    from georay.stages import dedup
+
+    tbl = pa.table(
+        {
+            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
+            "text": pa.array([r[1] for r in rows], pa.string()),
+        }
+    )
+    out = dedup.minhash_dedup(rd.from_arrow(tbl), threshold=0.8).to_pandas()
+    return list(zip(out["doc_id"], out["cluster_id"], out["is_dup"]))
+
+
+def test_minhash_dedup_fused_edge_inputs(ray_session):
+    """The fused band reducer on degenerate buckets: 300 identical
+    captions chain into one component under the W = 50 pairing cap and
+    take the min id; empty, null and all-whitespace texts cluster
+    together (Jaccard 1.0); a duplicated doc id verifies each row
+    against its own text, so it emits no false cross pair."""
+    rng = np.random.default_rng(5)
+    same = "a red kite over the old harbour at dusk"
+    ids = rng.permutation(np.arange(1000, 1300))
+    rows = [(int(i), same) for i in ids]
+    rows += [
+        (int(i), " ".join(f"w{v}" for v in rng.integers(0, 10**6, 8)))
+        for i in range(20)
+    ]
+    got = {d: (c, dup) for d, c, dup in _dedup_labels(rows)}
+    assert all(got[int(i)] == (1000, int(i) != 1000) for i in ids)
+    assert all(got[i] == (i, False) for i in range(20))
+
+    got = {d: (c, dup) for d, c, dup in _dedup_labels(
+        [(7, ""), (3, None), (9, " \t\n "), (4, "some unrelated caption text")]
+    )}
+    assert got == {7: (3, True), 3: (3, False), 9: (3, True), 4: (4, False)}
+
+    same = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
+    other = "one two three four five six seven eight nine ten"
+    got = _dedup_labels([(1, same), (1, same), (2, other)])
+    assert sorted(got) == [(1, 1, False), (1, 1, False), (2, 2, False)]

@@ -126,6 +126,134 @@ def test_jaccard_shingles():
     assert dedup.jaccard_shingles("abcdefgh", "zzzzzzzz") == 0.0
 
 
+def test_shingles_batch_matches_per_doc():
+    """The flat-buffer shingle lane equals ``_shingle_hashes`` row by
+    row (and its signatures the per-doc path) on a seeded fuzz of
+    case, whitespace runs, short/empty/null docs, non-ASCII rows mixed
+    into ASCII batches, sliced, chunked and large_string columns."""
+    rng = np.random.default_rng(11)
+    ws = [" ", "  ", "\t", "\n", "\v", "\f", "\r", "\x1c", "\x1f", " \t\n "]
+    words = ["Ab", "cd", "EFG", "h", "ijkl", "MnOp", "qr", "s", "TUVWXYZ"]
+    non_ascii = ["Ä", "ß", "İ", "\xa0", "\u3000", "é"]
+    fixed = [None, "", "a", "ab", "abcd", "   ", "\t\n\v\f\r\x1c\x1f", "ABC DEF",
+             "  lead and trail  ", "x\x1c\x1dy", "Ä", " ß "]
+
+    def rand_doc():
+        parts = []
+        for _ in range(int(rng.integers(0, 8))):
+            parts.append(str(rng.choice(ws)) if rng.random() < 0.4 else str(rng.choice(words)))
+            if rng.random() < 0.05:
+                parts.append(str(rng.choice(non_ascii)))
+        return "".join(parts)
+
+    for trial in range(60):
+        docs = fixed + [rand_doc() for _ in range(int(rng.integers(0, 40)))]
+        docs = [docs[i] for i in rng.permutation(len(docs))]
+        k = int(rng.integers(1, 8))
+        ref = [dedup._shingle_hashes(t, k) for t in docs]
+        cut = int(rng.integers(0, len(docs) + 1))
+        columns = [
+            docs,
+            pa.array(docs, pa.string()),
+            pa.array(docs, pa.large_string()),
+            pa.array(["pad", None] + docs, pa.string()).slice(2),
+            pa.chunked_array([pa.array(docs[:cut], pa.string()), pa.array(docs[cut:], pa.string())]),
+        ]
+        for col in columns:
+            h, counts = dedup._shingles_batch(col, k)
+            assert counts.tolist() == [r.shape[0] for r in ref], (trial, k)
+            assert h.dtype == np.uint64
+            assert np.array_equal(h, np.concatenate([np.empty(0, np.uint64)] + ref)), (trial, k)
+        per_doc = np.stack(
+            [dedup.minhash_signatures_batch((r, np.array([r.shape[0]])))[0] for r in ref]
+        )
+        assert np.array_equal(dedup.minhash_signatures_batch(docs, k), per_doc)
+        # a tuple of str is a sequence of texts, not a (hashes, counts) pair
+        assert np.array_equal(dedup.minhash_signatures_batch(tuple(docs), k), per_doc)
+        pair = ("some text", "more text")
+        assert np.array_equal(
+            dedup.minhash_signatures_batch(pair, k), dedup.minhash_signatures_batch(list(pair), k)
+        )
+        a = rng.integers(0, len(docs), 30)
+        b = rng.integers(0, len(docs), 30)
+        jac = dedup._set_jaccard(h, counts, a, b)
+        assert jac.tolist() == [
+            dedup.jaccard_shingles(docs[i], docs[j], k) for i, j in zip(a, b)
+        ]
+    # repeats within a doc, in any order, collapse to its sorted set; 3
+    # and 2 differ only in the low bit the packed sort key drops, so this
+    # also takes the lexsort re-sort
+    h, counts = dedup._sorted_unique_per_doc(
+        np.array([3, 2, 3, 2, 7], np.uint64), np.array([4, 1])
+    )
+    assert h.tolist() == [2, 3, 7] and counts.tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("threshold", [0.8, 0.5, 0.15])
+def test_verified_band_pairs_matches_reference(threshold):
+    """The band reducer (low-byte prefilter, full estimate floor, exact
+    Jaccard) equals plain pairing of each (band_hash, id)-sorted bucket's
+    members ≤ 50 apart, kept when the full-signature estimate reaches
+    the floor and ``jaccard_shingles`` reaches the threshold. The
+    group's columns arrive sliced and chunked."""
+    rng = np.random.default_rng(5)
+    base = ["the quick brown fox jumps over", "lorem ipsum dolor sit amet", "abc", ""]
+    docs = []
+    for _ in range(160):
+        t = list(str(rng.choice(base)))
+        for _ in range(int(rng.integers(0, 3))):
+            t.insert(int(rng.integers(0, len(t) + 1)), str(rng.choice(list("xyz "))))
+        docs.append("".join(t))
+    ids = rng.permutation(10_000)[:160].astype(np.int64)
+    ids[7] = ids[3]  # a duplicated id keeps its own text
+    hs = rng.integers(0, 3, 160).astype(np.int64)  # 3 large buckets
+    sigs = dedup.minhash_signatures_batch(docs)
+    group = pa.table(
+        {
+            "band_hash": pa.array(np.concatenate([[9], hs])),
+            "doc_id": pa.array(np.concatenate([[0], ids])),
+            "sig_low": pa.concat_arrays(
+                [dedup._sig_low_column(sigs[:1]), dedup._sig_low_column(sigs)]
+            ),
+            "text": pa.array([""] + docs, pa.large_string()),
+        }
+    ).slice(1)
+    group = pa.concat_tables([group.slice(0, 70), group.slice(70)])
+    got = dedup._verified_band_pairs(group, "text", "doc_id", 5, threshold)
+    order = np.lexsort((ids, hs))
+    want = []
+    for x in range(160):
+        for y in range(x + 1, min(x + 51, 160)):
+            i, j = order[x], order[y]
+            if hs[i] != hs[j]:
+                break
+            if threshold - 0.18 > 0 and (sigs[i] == sigs[j]).mean() < threshold - 0.18:
+                continue
+            if dedup.jaccard_shingles(docs[i], docs[j]) >= threshold:
+                want.append((min(ids[i], ids[j]), max(ids[i], ids[j])))
+    assert len(want) > 100
+    assert sorted(zip(got["id_a"].to_pylist(), got["id_b"].to_pylist())) == sorted(want)
+
+
+def test_minhash_dedup_is_two_ray_data_executions(ray_session, monkeypatch):
+    """Band exchange with in-reducer verify feeding connected components
+    is one execution; the label assign is the second."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    orig = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    ds = _docs_with_dups(ray_session)
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    out = dedup.minhash_dedup(ds, threshold=0.6).materialize()
+    assert len(calls) == 2
+    assert out.count() == ds.count()
+
+
 @pytest.fixture(scope="module")
 def embeddings_ds(ray_session):
     import ray.data as rd
