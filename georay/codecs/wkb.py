@@ -489,20 +489,6 @@ def decode(
     return build_native(nodes, target), target
 
 
-def _ragged_bytes(buf: np.ndarray, starts: np.ndarray,
-                  lens: np.ndarray) -> np.ndarray:
-    """Gather the concatenation of byte runs [starts_i, starts_i+lens_i)
-    — ONE fancy-index over the values buffer (the whole-batch analogue
-    of the reference's per-feature coord memcpy,
-    src/geoarrow.c:4497-4758)."""
-    tot = int(lens.sum())
-    if tot == 0:
-        return np.empty(0, np.uint8)
-    off = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    idx = np.repeat(starts, lens) + np.arange(tot) - np.repeat(off, lens)
-    return buf[idx]
-
-
 def _runs_coords(buf: np.ndarray, starts: np.ndarray, counts: np.ndarray,
                  nd: int) -> np.ndarray:
     """Coordinate runs (byte starts + vertex counts) → (C, nd) float64.

@@ -52,11 +52,6 @@ def _pixels_for(content_key: int, w: int, h: int) -> np.ndarray:
     return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
 
 
-def expected_pixels(image_id: str, w: int, h: int, content_key: int) -> np.ndarray:
-    """Ground truth recomputed from the row's content key (stored nowhere)."""
-    return _pixels_for(content_key, w, h)
-
-
 def make_images_table(
     n: int,
     seed: int = 42,
@@ -278,10 +273,3 @@ def write_images_dataset(
         paths.append(path)
         shard += 1
     return paths
-
-
-def write_polygons(out_dir: str, n: int = 1000, seed: int = 43) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "polygons.parquet")
-    pq.write_table(make_polygons_table(n, seed=seed), path)
-    return path

@@ -85,9 +85,3 @@ def decode_rawvid(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, count=n * h * w * 3, offset=16).reshape(
         n, h, w, 3
     )
-
-
-def rawvid_frame_count(data: bytes) -> int:
-    if data[:4] != MAGIC_VID:
-        raise ValueError("not an RVID payload")
-    return struct.unpack_from("<III", data, 4)[0]

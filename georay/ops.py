@@ -856,6 +856,63 @@ def _value_histogram(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
     return tree_sum(parts, "v", {"partial_n": "n"}, int_cols=("partial_n",))
 
 
+def _check_qs(op: str, qs: list[float], nonempty: bool = False) -> None:
+    """Driver-side guard shared by every quantile entry point: each q
+    must lie in [0, 1] (a NaN q fails the comparison too)."""
+    if nonempty and not qs:
+        raise ValueError(f"{op}: qs must be non-empty")
+    bad = [q for q in qs if not 0.0 <= q <= 1.0]
+    if bad:
+        raise ValueError(f"{op}: quantiles must lie in [0, 1], got {bad}")
+
+
+def _pick_quantile(v, cum, base, n, q: float, interp: str):
+    """Value at quantile ``q`` of each segment of a value-sorted
+    histogram: ``cum`` is the running count over all segments, ``base``
+    each segment's count before it and ``n`` its own count. "disc" is
+    ``quantile_disc`` (the element at rank max(ceil(q·n)−1, 0)); "cont"
+    interpolates at rank q·(n−1) in DuckDB's form lo·(1−f) + hi·f (the
+    oracled ``quantile_cont`` qs hash-match; lo + f·(hi−lo) differs at
+    ulp level)."""
+    if interp == "disc":
+        rank = np.maximum(np.ceil(q * n).astype(np.int64), 1)
+        return v[np.searchsorted(cum, base + rank, side="left")]
+    h = q * (n - 1).astype(np.float64)
+    lo = np.floor(h).astype(np.int64)
+    hi = np.ceil(h).astype(np.int64)
+    v_lo = v[np.searchsorted(cum, base + lo + 1, side="left")]
+    v_hi = v[np.searchsorted(cum, base + hi + 1, side="left")]
+    frac = h - lo
+    return v_lo * (1.0 - frac) + v_hi * frac
+
+
+def _histogram_quantiles(
+    ds: ray.data.Dataset, col: str, qs: list[float], interp: str
+) -> ray.data.Dataset:
+    """Shared body of ``exact_quantiles`` and ``exact_quantiles_cont``:
+    the value histogram, then one tiny task picks every q."""
+    hist = _value_histogram(ds, col)
+
+    def pick(batch: pa.Table) -> pa.Table:
+        v = batch["v"].to_numpy(zero_copy_only=False)
+        n = batch["n"].to_numpy(zero_copy_only=False)
+        order = np.argsort(v, kind="stable")
+        v, cum = v[order], np.cumsum(n[order])
+        total = cum[-1] if cum.shape[0] else np.int64(0)
+        out_v = [
+            _pick_quantile(v, cum, 0, total, q, interp) if total else None
+            for q in qs
+        ]
+        return pa.table(
+            {"q": pa.array(qs, pa.float64()), "v": pa.array(out_v, pa.float64())}
+        )
+
+    return hist.map_batches(
+        pick, batch_format="pyarrow", zero_copy_batch=True, batch_size=1 << 40,
+        num_cpus=0.9,
+    )
+
+
 def exact_quantiles(
     ds: ray.data.Dataset,
     col: str,
@@ -868,37 +925,17 @@ def exact_quantiles(
     then one tiny task walks the cumulative counts. The corpus never
     shuffles — only (distinct value, count) rows move, so this is exact
     at any scale where the value domain fits one worker (codes, sizes,
-    scores, quantities). For unbounded domains use a sampled sketch
-    instead (this operator is the exact path).
+    scores, quantities). For unbounded domains use the radix select
+    (``exact_quantiles_radix``).
 
     Output: one row per q — (q float64, v float64).
     """
-    hist = _value_histogram(ds, col)
+    _check_qs("exact_quantiles", qs)
+    return _histogram_quantiles(ds, col, qs, "disc")
 
-    def pick(batch: pa.Table) -> pa.Table:
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        order = np.argsort(v, kind="stable")
-        v, n = v[order], n[order]
-        cum = np.cumsum(n)
-        total = int(cum[-1]) if cum.shape[0] else 0
-        out_q, out_v = [], []
-        for q in qs:
-            out_q.append(float(q))
-            if total == 0:
-                out_v.append(None)
-                continue
-            idx = max(int(np.ceil(q * total)) - 1, 0)
-            pos = np.searchsorted(cum, idx + 1, side="left")
-            out_v.append(float(v[pos]))
-        return pa.table(
-            {"q": pa.array(out_q, pa.float64()), "v": pa.array(out_v, pa.float64())}
-        )
 
-    return hist.map_batches(
-        pick, batch_format="pyarrow", zero_copy_batch=True, batch_size=1 << 40,
-        num_cpus=0.9,
-    )
+_SIGN = np.uint64(1 << 63)
+_DENSE_BINS = 1 << 20  # widest bin range _bin_totals accumulates densely
 
 
 def _f64_ordered_u64(x: np.ndarray) -> np.ndarray:
@@ -907,17 +944,246 @@ def _f64_ordered_u64(x: np.ndarray) -> np.ndarray:
     order. Shared by the radix-select family."""
     b = x.view(np.uint64)
     neg = (b >> np.uint64(63)).astype(bool)
-    mask = np.where(neg, np.uint64(0xFFFFFFFFFFFFFFFF),
-                    np.uint64(0x8000000000000000))
+    mask = np.where(neg, np.uint64(0xFFFFFFFFFFFFFFFF), _SIGN)
     return b ^ mask
 
 
-def _ordered_u64_f64(kbits: np.uint64) -> float:
-    """Inverse of ``_f64_ordered_u64`` for one selected key."""
-    neg = (np.uint64(kbits) >> np.uint64(63)) == 0  # sign clear ⇒ was < 0
-    mask = (np.uint64(0xFFFFFFFFFFFFFFFF) if neg
-            else np.uint64(0x8000000000000000))
-    return float(np.uint64(np.uint64(kbits) ^ mask).view(np.float64))
+def _ordered_u64_f64(keys: np.ndarray) -> np.ndarray:
+    """Inverse of ``_f64_ordered_u64``."""
+    was_neg = (keys >> np.uint64(63)) == 0  # sign clear ⇒ was < 0
+    mask = np.where(was_neg, np.uint64(0xFFFFFFFFFFFFFFFF), _SIGN)
+    return (keys ^ mask).view(np.float64)
+
+
+def _bin_totals(bins: np.ndarray, w: np.ndarray | None, nbins: int):
+    """Nonzero ``(bin, total)`` pairs of int64 ``bins`` in [0, nbins):
+    row counts, or exact int64 weight sums when ``w`` is given. A wide
+    bin range is compacted first, so the accumulator is never larger
+    than the distinct bins."""
+    uniq = None
+    if nbins > _DENSE_BINS:
+        uniq, bins = np.unique(bins, return_inverse=True)
+        nbins = uniq.shape[0]
+    tot = np.zeros(nbins, np.int64)
+    np.add.at(tot, bins, 1 if w is None else w)
+    nz = np.flatnonzero(tot)
+    return (nz if uniq is None else uniq[nz]), tot[nz]
+
+
+def _radix_select(
+    ds: ray.data.Dataset,
+    col: str,
+    ranks,
+    key: str | None = None,
+    weight_col: str | None = None,
+    op: str = "radix select",
+):
+    """The exact RADIX SELECT engine behind ``exact_quantiles_radix``
+    (plain and weighted), ``exact_quantiles_radix_cont`` and
+    ``grouped_quantiles_radix``.
+
+    Every batch decodes ``col`` once into order-preserving uint64 keys:
+    ``_f64_ordered_u64`` for floats; integer columns flip the int64 sign
+    bit (no float64 round-trip, so values beyond 2^53 stay exact). NULL
+    and NaN values and NULL ``key`` rows are excluded; ±inf are values.
+    ``weight_col`` (int64, non-negative, NULL = 0) makes every total a
+    weight sum instead of a row count.
+
+    Each selection slot — a (group, target rank) — narrows its key one
+    16-bit digit per pass, so there are exactly 4 passes however many
+    groups and slots ride them. A pass is ONE ``map_batches`` emitting a
+    histogram keyed (prefix id, digit) plus a ``tree_sum`` fold; the
+    driver then narrows every slot at once (lexsort, cumsum,
+    searchsorted — no per-slot loop). Pass 1 is the empty-prefix case:
+    a row's prefix id is its group, so the pass also discovers the
+    groups and their totals, and ``ranks(totals)`` turns the (ng,)
+    totals into an (ng, slots) array of 0-based target ranks. In passes
+    2–4 a row's prefix is its key bits above the digit (a mask: the
+    pass-1 shift ``key >> 64`` is undefined for uint64), and each row
+    finds its live (group, prefix) pair by searchsorted. Every pass
+    must see the same rows. The driver holds one pass's nonzero
+    bins (bounded group cardinality, as for ``tree_sum``).
+
+    Returns ``(groups, totals, values)``: the sorted groups (an Arrow
+    array of the key type; one dummy group when ungrouped), their totals
+    and the (ng, slots) selected values — int64 for integer columns,
+    else float64. No surviving row gives ng = 0."""
+    schema = ds.schema().base_schema
+    is_int = pa.types.is_integer(schema.field(col).type)
+    gtype = schema.field(key).type if key is not None else pa.int64()
+
+    def decode(batch: pa.Table):
+        arr = batch[col]
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        if is_int:
+            # nulls are filled in Arrow and dropped below: to_numpy of a
+            # nullable int array is float64, whose bits mis-order as keys
+            drop = None
+            if arr.null_count:
+                drop = np.asarray(pc.is_null(arr))
+                arr = arr.fill_null(0)
+            v = arr.cast(pa.int64()).to_numpy(zero_copy_only=False)
+            k = v.view(np.uint64) ^ _SIGN
+        else:
+            x = arr.to_numpy(zero_copy_only=False).astype(np.float64)
+            drop = np.isnan(x)  # NULL→NaN and real NaN; ±inf are values
+            k = _f64_ordered_u64(x)
+        g = None
+        if key is not None:
+            g = batch[key]
+            if isinstance(g, pa.ChunkedArray):
+                g = g.combine_chunks()
+            if g.null_count:
+                gnull = np.asarray(pc.is_null(g))
+                drop = gnull if drop is None else drop | gnull
+        w = None
+        if weight_col is not None:
+            warr = batch[weight_col]
+            if isinstance(warr, pa.ChunkedArray):
+                warr = warr.combine_chunks()
+            w = np.asarray(pc.fill_null(warr, 0)).astype(np.int64)
+            if w.shape[0] and int(w.min()) < 0:
+                raise ValueError(f"{op}: negative weights")
+        if drop is not None and drop.any():
+            keep = ~drop
+            k = k[keep]
+            w = None if w is None else w[keep]
+            g = None if g is None else g.filter(pa.array(keep))
+        if w is not None and float(w.sum(dtype=np.float64)) >= float(1 << 62):
+            raise OverflowError(
+                f"{op}: batch weight sum exceeds the int64 budget (2^62) "
+                "— rescale the weight units"
+            )
+        return g, k, w
+
+    def partial(batch: pa.Table, shift: int, groups, live, pairs) -> pa.Table:
+        g, k, w = decode(batch)
+        if pairs is None:
+            # pass 1, the empty prefix: a row's prefix id is its group
+            if g is None:
+                pid, names = 0, pa.array([0], pa.int64())
+            else:
+                enc = g.dictionary_encode()
+                pid = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+                names = enc.dictionary
+            npid = len(names)
+        else:
+            # a row's prefix is its key bits above this pass's digit. A
+            # 64Ki-entry table of the live prefixes' first digits drops
+            # most rows; a searchsorted finds each survivor's prefix among
+            # the live ones, and another its (group, prefix) pair
+            first = np.zeros(1 << 16, bool)
+            first[live >> np.uint64(48)] = True
+            rows = np.flatnonzero(first[k >> np.uint64(48)])
+            prefix = k[rows] & np.uint64(
+                ((1 << 64) - 1) ^ ((1 << (shift + 16)) - 1))
+            j = np.minimum(np.searchsorted(live, prefix), live.shape[0] - 1)
+            ok = live[j] == prefix
+            rows, code = rows[ok], j[ok]
+            if g is not None:  # an unknown group (-1) matches no pair
+                gi = pc.index_in(g.take(pa.array(rows)),
+                                 value_set=groups.cast(g.type))
+                gi = gi.fill_null(-1).to_numpy(zero_copy_only=False)
+                code = gi.astype(np.int64) * live.shape[0] + code
+            npid = pairs.shape[0]
+            pid = np.minimum(np.searchsorted(pairs, code), npid - 1)
+            ok = pairs[pid] == code
+            rows, pid = rows[ok], pid[ok]
+            k = k[rows]
+            w = None if w is None else w[rows]
+            names = None
+        digit = ((k >> np.uint64(shift)) & np.uint64(0xFFFF)).astype(np.int64)
+        b, c = _bin_totals((pid << 16) | digit, w, npid << 16)
+        p = pa.array(b >> 16)
+        return pa.table({
+            "pid": p if names is None else names.take(p),
+            "digit": pa.array(b & 0xFFFF),
+            "c": pa.array(c, pa.int64()),
+        })
+
+    groups = live = pairs = None
+    for shift in (48, 32, 16, 0):
+        if groups is not None:  # passes 2–4: the live (group, prefix) pairs
+            live = np.unique(sel)
+            pairs, slot_pid = np.unique(
+                slot_g * live.shape[0] + np.searchsorted(live, sel),
+                return_inverse=True,
+            )
+        parts = ds.map_batches(
+            lambda b, s=shift, g=groups, lv=live, p=pairs: partial(b, s, g, lv, p),
+            batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+        )
+        hist = tree_sum(parts, ["pid", "digit"], {"c": "c"}, int_cols=("c",))
+        h = [t for t in hist.iter_batches(batch_format="pyarrow", batch_size=None)
+             if t.num_rows]
+        if not h:  # only in pass 1: an empty or all-NULL column
+            totals = np.zeros(0, np.int64)
+            values = np.zeros((0, ranks(totals).shape[1]),
+                              np.int64 if is_int else np.float64)
+            return pa.array([], gtype), totals, values
+        h = pa.concat_tables(h)
+        c = h["c"].to_numpy()
+        if groups is None:
+            if int(c.min()) < 0:
+                raise OverflowError(
+                    f"{op}: merged counts went negative — weight sums "
+                    "wrapped int64; rescale the weights"
+                )
+            # per-batch sums are < 2^62 but the MERGED total can still
+            # wrap int64 and land positive; the float64 sum is exact
+            # enough to detect crossing the budget
+            if float(c.astype(np.float64).sum()) >= float(1 << 62):
+                raise OverflowError(
+                    f"{op}: merged weight total exceeds the int64 budget "
+                    "(2^62) — rescale the weight units"
+                )
+            groups = pc.unique(h["pid"])
+            groups = groups.take(pc.sort_indices(groups))
+            pid = pc.index_in(h["pid"], value_set=groups).to_numpy()
+            pid = pid.astype(np.int64)
+            totals = np.zeros(len(groups), np.int64)
+            np.add.at(totals, pid, c)
+            # q·T rounds up past T − 1 once a weight total exceeds 2^53
+            rank = np.minimum(ranks(totals), (totals - 1)[:, None])
+            ng, ns = rank.shape
+            rank = rank.ravel().astype(np.int64)
+            slot_g = slot_pid = np.repeat(np.arange(ng), ns)
+            sel = np.zeros(ng * ns, np.uint64)
+        else:
+            pid = h["pid"].to_numpy()
+        digit = h["digit"].to_numpy()
+        # narrow every slot: its segment of the (pid, digit)-sorted
+        # histogram holds the digit whose running total reaches its rank
+        order = np.lexsort((digit, pid))
+        pid, digit, c = pid[order], digit[order], c[order]
+        cum = np.cumsum(c)
+        before = cum - c
+        target = before[np.searchsorted(pid, slot_pid)] + rank + 1
+        pos = np.searchsorted(cum, target, side="left")
+        rank = target - 1 - before[pos]
+        sel |= digit[pos].astype(np.uint64) << np.uint64(shift)
+    values = (sel ^ _SIGN).view(np.int64) if is_int else _ordered_u64_f64(sel)
+    return groups.cast(gtype), totals, values.reshape(ng, ns)
+
+
+def _disc_ranks(qs: list[float]):
+    """``quantile_disc`` targets: rank max(ceil(q·T)−1, 0) of each
+    group's total T (rows, or weight)."""
+    q = np.asarray(qs, np.float64)
+    return lambda totals: np.maximum(
+        np.ceil(np.outer(totals, q)).astype(np.int64) - 1, 0
+    )
+
+
+def _qv_table(qs: list[float], values: np.ndarray) -> ray.data.Dataset:
+    """(q, v) rows of an ungrouped radix select; NULL v on an empty
+    column."""
+    v = values[0] if values.shape[0] else [None] * len(qs)
+    return ray.data.from_arrow(pa.table({
+        "q": pa.array(qs, pa.float64()),
+        "v": pa.array(v, pa.from_numpy_dtype(values.dtype)),
+    }))
 
 
 def exact_quantiles_radix(
@@ -928,16 +1194,9 @@ def exact_quantiles_radix(
 ) -> ray.data.Dataset:
     """Exact ``quantile_disc`` values for an UNBOUNDED float64 column —
     the gap ``exact_quantiles`` (bounded-domain histogram) documents:
-    distributed RADIX SELECT. Doubles map to uint64 keys via the
-    order-preserving bit transform (flip all bits when negative, else
-    flip the sign bit), then the exact k-th element is found byte by
-    16-bit digit: 4 rounds, each ONE map_batches emitting a 64Ki-bin
-    histogram of the next digit among rows matching every quantile's
-    current prefix + a combine-tree fold; the driver holds the
-    nonzero bins and
-    narrows each quantile's prefix. No sort, no shuffle, no sample —
-    exact at any scale, in exactly 4 passes over the column regardless
-    of how many quantiles are asked for (all prefixes ride one pass).
+    distributed RADIX SELECT (``_radix_select``): 4 passes of 64Ki-bin
+    digit histograms however many quantiles are asked for. No sort, no
+    shuffle, no sample.
 
     NULL and NaN rows are excluded (SQL NULL semantics; DuckDB sorts
     NaN last — callers comparing against it should filter NaN too).
@@ -946,179 +1205,18 @@ def exact_quantiles_radix(
 
     ``weight_col`` (int64, non-negative, NULL = 0) switches to the
     WEIGHTED quantile: the smallest value whose cumulative weight
-    reaches ``ceil(q·W)`` — exact weighted median/percentiles on the
-    same 4 passes, the per-digit histograms summing weights instead of
-    row counts.
+    reaches ``ceil(q·W)``, on the same 4 passes.
 
-    INTEGER columns take a native int64 path (sign-bit-flip order
-    transform, NO float64 round-trip), so quantiles of ids/counters
-    beyond 2^53 stay exact; the output ``v`` column is then int64.
+    INTEGER columns take the native int64 keys, so quantiles of
+    ids/counters beyond 2^53 stay exact; the output ``v`` column is then
+    int64.
     """
-    if not qs:
-        raise ValueError("exact_quantiles_radix: qs must be non-empty")
-    col_type = ds.schema().base_schema.field(col).type
-    is_int = pa.types.is_integer(col_type)
-
-    def _keys(batch: pa.Table):
-        arr = batch[col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        if is_int:
-            # Drop nulls in ARROW before to_numpy: a nullable int array
-            # converts to a float64 ndarray (NaN for nulls), and viewing
-            # float bits as uint64 keys silently mis-orders everything.
-            if arr.null_count:
-                keep = ~np.asarray(pc.is_null(arr))
-                arr = arr.drop_null()
-            else:
-                keep = None
-            v = arr.cast(pa.int64()).to_numpy(zero_copy_only=False)
-            assert v.dtype == np.int64
-            key = v.view(np.uint64) ^ np.uint64(1 << 63)
-            if weight_col is None:
-                return key, None
-            warr = batch[weight_col]
-            if isinstance(warr, pa.ChunkedArray):
-                warr = warr.combine_chunks()
-            w = np.asarray(pc.fill_null(warr, 0)).astype(np.int64)
-            if w.shape[0] and int(w.min()) < 0:
-                raise ValueError("exact_quantiles_radix: negative weights")
-            if keep is not None:
-                w = w[keep]
-            if float(w.sum(dtype=np.float64)) >= float(1 << 62):
-                raise OverflowError(
-                    "exact_quantiles_radix: batch weight sum exceeds the "
-                    "int64 budget (2^62) — rescale the weight units"
-                )
-            return key, w
-        x = arr.to_numpy(zero_copy_only=False).astype(np.float64)
-        ok = ~np.isnan(x)  # drop NULL→NaN and real NaN; ±inf are values
-        if weight_col is None:
-            if not ok.all():
-                x = x[ok]
-            w = None
-        else:
-            warr = batch[weight_col]
-            if isinstance(warr, pa.ChunkedArray):
-                warr = warr.combine_chunks()
-            w = np.asarray(pc.fill_null(warr, 0)).astype(np.int64)
-            if w.shape[0] and int(w.min()) < 0:
-                raise ValueError(
-                    "exact_quantiles_radix: negative weights"
-                )
-            if not ok.all():
-                x, w = x[ok], w[ok]
-        if w is not None and float(w.sum(dtype=np.float64)) >= float(1 << 62):
-            raise OverflowError(
-                "exact_quantiles_radix: batch weight sum exceeds the "
-                "int64 budget (2^62) — rescale the weight units"
-            )
-        return _f64_ordered_u64(x), w
-
-    nq = len(qs)
-
-    def round_partial(batch: pa.Table, shift: int,
-                      prefixes: np.ndarray) -> pa.Table:
-        """64Ki-bin next-DIGIT (16-bit) histogram per active quantile
-        prefix — 4 passes total instead of 8 (each pass is a scheduling
-        barrier; the wider histogram is still tiny after the nonzero
-        filter)."""
-        key, w = _keys(batch)
-        qi_out, byte_out, c_out = [], [], []
-        hi_shift = np.uint64(shift + 16)
-        # pass 1 sees ALL rows for every quantile — compute its (large,
-        # 64Ki-bin) histogram ONCE and let the driver reuse it per qi
-        for qi in range(1 if shift == 48 else nq):
-            if shift == 48:
-                sub, sw = key, w
-            else:
-                m = (key >> hi_shift) == np.uint64(prefixes[qi])
-                sub = key[m]
-                sw = None if w is None else w[m]
-            byte = ((sub >> np.uint64(shift)) & np.uint64(0xFFFF)).astype(
-                np.int64
-            )
-            if sw is None:
-                cnt = np.bincount(byte, minlength=65536)
-            else:
-                cnt = np.zeros(65536, np.int64)
-                np.add.at(cnt, byte, sw)
-            nz = np.nonzero(cnt)[0]
-            qi_out.append(np.full(nz.shape[0], qi, np.int64))
-            byte_out.append(nz.astype(np.int64))
-            c_out.append(cnt[nz].astype(np.int64))
-        return pa.table(
-            {
-                "qi": pa.array(np.concatenate(qi_out), pa.int64()),
-                "byte": pa.array(np.concatenate(byte_out), pa.int64()),
-                "c": pa.array(np.concatenate(c_out), pa.int64()),
-            }
-        )
-
-    prefixes = np.zeros(nq, np.uint64)
-    ks = np.zeros(nq, np.int64)
-    have_k = False
-    for shift in range(48, -16, -16):
-        partials = ds.map_batches(
-            lambda b, s=shift, p=prefixes.copy(): round_partial(b, s, p),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-        )
-        hist = tree_sum(
-            partials, ["qi", "byte"], {"c": "c"}, int_cols=("c",)
-        ).to_pandas()
-        if not have_k:  # first pass doubles as the COUNT(*) pass
-            # an all-null/empty column yields ZERO partial rows, and the
-            # schema-less empty frame has no "c" column at all
-            if len(hist) and int(hist["c"].min()) < 0:
-                raise OverflowError(
-                    "exact_quantiles_radix: merged counts went negative "
-                    "— weight sums wrapped int64; rescale the weights"
-                )
-            # per-batch sums are < 2^62 but the MERGED total can still
-            # wrap int64 and land positive; the float64 sum is exact
-            # enough to detect crossing the budget
-            if (weight_col is not None and len(hist)
-                    and float(hist["c"].to_numpy().astype(np.float64).sum())
-                    >= float(1 << 62)):
-                raise OverflowError(
-                    "exact_quantiles_radix: merged weight total exceeds "
-                    "the int64 budget (2^62) — rescale the weight units"
-                )
-            total = int(hist["c"].sum()) if len(hist) else 0
-            if total == 0:
-                vt = pa.int64() if is_int else pa.float64()
-                return ray.data.from_arrow(pa.table({
-                    "q": pa.array([float(q) for q in qs], pa.float64()),
-                    "v": pa.array([None] * nq, vt),
-                }))
-            ks = np.array(
-                [max(int(np.ceil(q * total)) - 1, 0) for q in qs], np.int64
-            )
-            have_k = True
-        for qi in range(nq):
-            src_qi = 0 if shift == 48 else qi  # pass-1 histogram is shared
-            sub = hist[hist["qi"] == src_qi].sort_values("byte")
-            cum = sub["c"].to_numpy().cumsum()
-            pos = int(np.searchsorted(cum, ks[qi] + 1, side="left"))
-            ks[qi] -= int(cum[pos - 1]) if pos else 0
-            prefixes[qi] = (prefixes[qi] << np.uint64(16)) | np.uint64(
-                int(sub["byte"].to_numpy()[pos])
-            )
-    # invert the order-preserving transform back to the input domain
-    if is_int:
-        out_i = [
-            int(np.uint64(prefixes[qi] ^ np.uint64(1 << 63)).view(np.int64))
-            for qi in range(nq)
-        ]
-        return ray.data.from_arrow(pa.table({
-            "q": pa.array([float(q) for q in qs], pa.float64()),
-            "v": pa.array(out_i, pa.int64()),
-        }))
-    out_v = [_ordered_u64_f64(prefixes[qi]) for qi in range(nq)]
-    return ray.data.from_arrow(pa.table({
-        "q": pa.array([float(q) for q in qs], pa.float64()),
-        "v": pa.array(out_v, pa.float64()),
-    }))
+    op = "exact_quantiles_radix"
+    _check_qs(op, qs, nonempty=True)
+    _, _, values = _radix_select(
+        ds, col, _disc_ranks(qs), weight_col=weight_col, op=op
+    )
+    return _qv_table(qs, values)
 
 
 def exact_quantiles_radix_cont(
@@ -1132,91 +1230,53 @@ def exact_quantiles_radix_cont(
     selections riding the same 4 radix passes. Same NULL/NaN exclusion;
     the interpolation arithmetic is the explicit IEEE expression a SQL
     twin can replicate bit-for-bit (no library quantile call)."""
-    if not qs:
-        raise ValueError("exact_quantiles_radix_cont: qs must be non-empty")
-    nq = len(qs)
+    op = "exact_quantiles_radix_cont"
+    _check_qs(op, qs, nonempty=True)
+    q = np.asarray(qs, np.float64)
 
-    def _keys(batch: pa.Table) -> np.ndarray:
-        arr = batch[col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        x = arr.to_numpy(zero_copy_only=False).astype(np.float64)
-        ok = ~np.isnan(x)
-        if not ok.all():
-            x = x[ok]
-        return _f64_ordered_u64(x)
+    def ranks(totals: np.ndarray) -> np.ndarray:
+        pos = np.outer(totals - 1, q)  # slots: (floor, ceil) per q
+        lo_hi = np.stack([np.floor(pos), np.ceil(pos)], axis=-1)
+        return lo_hi.reshape(totals.shape[0], 2 * q.shape[0]).astype(np.int64)
 
-    ns = 2 * nq  # lo/hi selection per quantile
+    _, totals, values = _radix_select(ds, col, ranks, op=op)
+    if not totals.shape[0]:
+        return _qv_table(qs, np.zeros((0, len(qs))))
+    pos = (totals[0] - 1) * q
+    frac = pos - np.floor(pos)
+    vlo = values[0, 0::2].astype(np.float64)
+    vhi = values[0, 1::2].astype(np.float64)
+    return _qv_table(qs, (vlo + frac * (vhi - vlo))[None])
 
-    def round_partial(batch: pa.Table, shift: int,
-                      prefixes: np.ndarray) -> pa.Table:
-        key = _keys(batch)
-        si_out, byte_out, c_out = [], [], []
-        hi_shift = np.uint64(shift + 16)
-        for si in range(1 if shift == 48 else ns):
-            if shift == 48:
-                sub = key
-            else:
-                sub = key[(key >> hi_shift) == np.uint64(prefixes[si])]
-            byte = ((sub >> np.uint64(shift)) & np.uint64(0xFFFF)).astype(
-                np.int64
-            )
-            cnt = np.bincount(byte, minlength=65536)
-            nz = np.nonzero(cnt)[0]
-            si_out.append(np.full(nz.shape[0], si, np.int64))
-            byte_out.append(nz.astype(np.int64))
-            c_out.append(cnt[nz].astype(np.int64))
-        return pa.table({
-            "si": pa.array(np.concatenate(si_out), pa.int64()),
-            "byte": pa.array(np.concatenate(byte_out), pa.int64()),
-            "c": pa.array(np.concatenate(c_out), pa.int64()),
-        })
 
-    prefixes = np.zeros(ns, np.uint64)
-    ks = np.zeros(ns, np.int64)
-    fracs = np.zeros(nq, np.float64)
-    have_k = False
-    for shift in range(48, -16, -16):
-        partials = ds.map_batches(
-            lambda b, s=shift, p=prefixes.copy(): round_partial(b, s, p),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-        )
-        hist = tree_sum(
-            partials, ["si", "byte"], {"c": "c"}, int_cols=("c",)
-        ).to_pandas()
-        if not have_k:
-            total = int(hist["c"].sum()) if len(hist) else 0
-            if total == 0:
-                return ray.data.from_arrow(pa.table({
-                    "q": pa.array([float(q) for q in qs], pa.float64()),
-                    "v": pa.array([None] * nq, pa.float64()),
-                }))
-            for qi, q in enumerate(qs):
-                pos = q * (total - 1)
-                lo = int(np.floor(pos))
-                hi = int(np.ceil(pos))
-                fracs[qi] = pos - np.floor(pos)
-                ks[2 * qi] = lo
-                ks[2 * qi + 1] = hi
-            have_k = True
-        for si in range(ns):
-            src_si = 0 if shift == 48 else si  # pass-1 histogram is shared
-            sub = hist[hist["si"] == src_si].sort_values("byte")
-            cum = sub["c"].to_numpy().cumsum()
-            pos = int(np.searchsorted(cum, ks[si] + 1, side="left"))
-            ks[si] -= int(cum[pos - 1]) if pos else 0
-            prefixes[si] = (prefixes[si] << np.uint64(16)) | np.uint64(
-                int(sub["byte"].to_numpy()[pos])
-            )
+def grouped_quantiles_radix(
+    ds: ray.data.Dataset,
+    key: str,
+    col: str,
+    qs: list[float],
+) -> ray.data.Dataset:
+    """Per-GROUP exact ``quantile_disc`` on an unbounded column — the
+    grouped twin of ``exact_quantiles_radix`` on the same engine
+    (``_radix_select``): every (group, q) narrows its own digit prefix,
+    all riding the SAME 4 column passes (pass 1 also discovers the
+    groups and counts them). The driver holds |groups|·|qs| slots and
+    one pass's nonzero bins — bounded-group-cardinality budget (flags,
+    sources, classes; same convention as ``tree_sum``). NULL/NaN
+    payloads and NULL keys are excluded; integer columns keep native
+    int64 keys and an int64 ``v``.
 
-    out_v = []
-    for qi in range(nq):
-        vlo = _ordered_u64_f64(prefixes[2 * qi])
-        vhi = _ordered_u64_f64(prefixes[2 * qi + 1])
-        out_v.append(vlo + fracs[qi] * (vhi - vlo))
+    Output: (key, q float64, v) — groups with at least one non-null
+    value only (SQL GROUP BY semantics)."""
+    op = "grouped_quantiles_radix"
+    _check_qs(op, qs, nonempty=True)
+    groups, _, values = _radix_select(
+        ds, col, _disc_ranks(qs), key=key, op=op
+    )
+    ng, nq = values.shape
     return ray.data.from_arrow(pa.table({
-        "q": pa.array([float(q) for q in qs], pa.float64()),
-        "v": pa.array(out_v, pa.float64()),
+        key: groups.take(pa.array(np.repeat(np.arange(ng), nq))),
+        "q": pa.array(np.tile(np.asarray(qs, np.float64), ng), pa.float64()),
+        "v": pa.array(values.ravel()),
     }))
 
 
@@ -1307,164 +1367,6 @@ def hash_shuffle_rank(
         .groupby("_bucket")
         .map_groups(per_bucket, batch_format="pyarrow")
     )
-
-
-def grouped_quantiles_radix(
-    ds: ray.data.Dataset,
-    key: str,
-    col: str,
-    qs: list[float],
-) -> ray.data.Dataset:
-    """Per-GROUP exact ``quantile_disc`` on an unbounded float64 column
-    — the grouped twin of ``exact_quantiles_radix``, same 4-pass radix
-    plan: every group's every quantile narrows its own digit prefix,
-    all riding the SAME 4 column passes (pass 1 doubles as the per-group
-    COUNT pass that discovers the group set). The driver holds
-    |groups|·|qs| prefixes + the nonzero bins of a 64Ki-bin histogram
-    per (group, q) —
-    bounded-group-cardinality budget (flags, sources, classes; same
-    convention as ``tree_sum``). NULL/NaN payloads excluded per group.
-
-    Output: (key, q float64, v float64) — groups with at least one
-    non-null value only (SQL GROUP BY semantics)."""
-    if not qs:
-        raise ValueError("grouped_quantiles_radix: qs must be non-empty")
-    nq = len(qs)
-
-    def _kv(batch: pa.Table):
-        arr = batch[col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        x = arr.to_numpy(zero_copy_only=False).astype(np.float64)
-        karr = batch[key]
-        if isinstance(karr, pa.ChunkedArray):
-            karr = karr.combine_chunks()
-        g = karr.to_numpy(zero_copy_only=False)
-        ok = ~np.isnan(x)
-        if karr.null_count:
-            ok &= ~np.asarray(pc.is_null(karr))
-        if not ok.all():
-            x, g = x[ok], g[ok]
-        return g, _f64_ordered_u64(x)
-
-    def discover(batch: pa.Table) -> pa.Table:
-        g, kk = _kv(batch)
-        byte = ((kk >> np.uint64(48)) & np.uint64(0xFFFF)).astype(np.int64)
-        (gk, bk), outs = _group_reduce(
-            [g, byte], {"c": np.ones(byte.shape[0], np.int64)}
-        )
-        return pa.table({
-            key: pa.array(gk),
-            "byte": pa.array(bk, pa.int64()),
-            "c": pa.array(outs["c"].astype(np.int64), pa.int64()),
-        })
-
-    hist = tree_sum(
-        ds.map_batches(discover, batch_format="pyarrow",
-                       zero_copy_batch=True, batch_size=None),
-        [key, "byte"], {"c": "c"}, int_cols=("c",),
-    ).to_pandas()
-    if len(hist) == 0:
-        ktype = ds.schema().base_schema.field(key).type
-        return ray.data.from_arrow(pa.table({
-            key: pa.array([], ktype),
-            "q": pa.array([], pa.float64()),
-            "v": pa.array([], pa.float64()),
-        }))
-    groups = np.sort(hist[key].unique())
-    ng = groups.shape[0]
-    # per (group, q) selection state
-    prefixes = np.zeros((ng, nq), np.uint64)
-    ks = np.zeros((ng, nq), np.int64)
-    gidx = np.searchsorted(groups, hist[key].to_numpy())
-    totals = np.zeros(ng, np.int64)
-    np.add.at(totals, gidx, hist["c"].to_numpy().astype(np.int64))
-    for gi in range(ng):
-        for qi, q in enumerate(qs):
-            ks[gi, qi] = max(int(np.ceil(q * totals[gi])) - 1, 0)
-
-    def narrow(hist_df, shift):
-        """Fold one pass's (group, qi, byte) histogram into prefixes."""
-        for gi in range(ng):
-            for qi in range(nq):
-                sub = hist_df[
-                    (hist_df["gi"] == gi) & (hist_df["qi"] == qi)
-                ].sort_values("byte")
-                cum = sub["c"].to_numpy().cumsum()
-                pos = int(np.searchsorted(cum, ks[gi, qi] + 1, side="left"))
-                ks[gi, qi] -= int(cum[pos - 1]) if pos else 0
-                prefixes[gi, qi] = (
-                    (prefixes[gi, qi] << np.uint64(16))
-                    | np.uint64(int(sub["byte"].to_numpy()[pos]))
-                )
-
-    # fold pass 1 (the discover histogram: identical for every qi)
-    import pandas as _pd
-
-    h1 = hist.assign(gi=gidx)
-    narrow(
-        _pd.concat([h1.assign(qi=qi) for qi in range(nq)],
-                   ignore_index=True),
-        48,
-    )
-
-    for shift in range(32, -16, -16):
-        def round_partial(batch: pa.Table, s=shift,
-                          p=prefixes.copy()) -> pa.Table:
-            g, kk = _kv(batch)
-            gm = np.searchsorted(groups, g)
-            gm_c = np.minimum(gm, ng - 1)
-            known = groups[gm_c] == g  # unseen group can't matter now
-            hi_shift = np.uint64(s + 16)
-            gis, qis, bys, cs = [], [], [], []
-            for gi in range(ng):
-                gmask = known & (gm_c == gi)
-                if not gmask.any():
-                    continue
-                sub_all = kk[gmask]
-                for qi in range(nq):
-                    sub = sub_all[
-                        (sub_all >> hi_shift) == np.uint64(p[gi, qi])
-                    ]
-                    byte = ((sub >> np.uint64(s)) & np.uint64(0xFFFF)).astype(
-                        np.int64
-                    )
-                    cnt = np.bincount(byte, minlength=65536)
-                    nz = np.nonzero(cnt)[0]
-                    gis.append(np.full(nz.shape[0], gi, np.int64))
-                    qis.append(np.full(nz.shape[0], qi, np.int64))
-                    bys.append(nz.astype(np.int64))
-                    cs.append(cnt[nz].astype(np.int64))
-            if not gis:
-                gis = [np.zeros(0, np.int64)]
-                qis = [np.zeros(0, np.int64)]
-                bys = [np.zeros(0, np.int64)]
-                cs = [np.zeros(0, np.int64)]
-            return pa.table({
-                "gi": pa.array(np.concatenate(gis), pa.int64()),
-                "qi": pa.array(np.concatenate(qis), pa.int64()),
-                "byte": pa.array(np.concatenate(bys), pa.int64()),
-                "c": pa.array(np.concatenate(cs), pa.int64()),
-            })
-
-        hdf = tree_sum(
-            ds.map_batches(round_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None),
-            ["gi", "qi", "byte"], {"c": "c"}, int_cols=("c",),
-        ).to_pandas()
-        narrow(hdf, shift)
-
-    out_k, out_q, out_v = [], [], []
-    for gi in range(ng):
-        for qi, q in enumerate(qs):
-            out_k.append(groups[gi])
-            out_q.append(float(q))
-            out_v.append(_ordered_u64_f64(prefixes[gi, qi]))
-    return ray.data.from_arrow(pa.table({
-        key: pa.array(list(out_k)),
-        "q": pa.array(out_q, pa.float64()),
-        "v": pa.array(out_v, pa.float64()),
-    }))
 
 
 def focal_sum(
@@ -3058,6 +2960,7 @@ def grouped_quantiles(
     """
     if interp not in ("disc", "cont"):
         raise ValueError(f"interp must be disc|cont, got {interp!r}")
+    _check_qs("grouped_quantiles", qs)
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select([key, col]).append_column(
@@ -3114,24 +3017,9 @@ def grouped_quantiles(
         n_k = cum[seg_end] - base
         out_keys, out_q, out_v = [], [], []
         for q in qs:
-            if interp == "disc":
-                target = base + np.maximum(np.ceil(q * n_k).astype(np.int64), 1)
-                pos = np.searchsorted(cum, target, side="left")
-                vals = v[pos]
-            else:
-                h = q * (n_k - 1).astype(np.float64)
-                lo = np.floor(h).astype(np.int64)
-                hi = np.ceil(h).astype(np.int64)
-                p_lo = np.searchsorted(cum, base + lo + 1, side="left")
-                p_hi = np.searchsorted(cum, base + hi + 1, side="left")
-                v_lo, v_hi = v[p_lo], v[p_hi]
-                # DuckDB's interpolation form lo·(1−f) + hi·f (verified
-                # bit-exact; lo + f·(hi−lo) differs at ulp level)
-                frac = h - lo
-                vals = v_lo * (1.0 - frac) + v_hi * frac
             out_keys.append(karr.take(pa.array(seg)))
             out_q.append(np.full(seg.shape[0], float(q)))
-            out_v.append(vals)
+            out_v.append(_pick_quantile(v, cum, base, n_k, q, interp))
         if not out_keys:
             return pa.table({key: karr.slice(0, 0), "q": pa.array([], pa.float64()),
                              "v": pa.array([], pa.float64())})
@@ -7035,39 +6923,11 @@ def exact_quantiles_cont(
     PERCENTILE_CONT semantics: linear interpolation at rank q·(n-1))
     over the same bounded-cardinality value-histogram plan as
     ``exact_quantiles`` — only (distinct value, count) rows move. The
-    interpolation expression mirrors DuckDB's (lo + frac·(hi − lo),
-    frac = q·(n−1) − floor) so results hash-match bit-for-bit. NULLs are
-    ignored (as SQL does); an empty/all-null column yields null v."""
-    hist = _value_histogram(ds, col)
-
-    def pick(batch: pa.Table) -> pa.Table:
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        order = np.argsort(v, kind="stable")
-        v, n = v[order], n[order]
-        cum = np.cumsum(n)
-        total = int(cum[-1]) if cum.shape[0] else 0
-        out_q, out_v = [], []
-        for q in qs:
-            out_q.append(float(q))
-            if total == 0:
-                out_v.append(None)
-                continue
-            h = q * (total - 1)
-            lo, hi = int(np.floor(h)), int(np.ceil(h))
-            v_lo = float(v[np.searchsorted(cum, lo + 1, side="left")])
-            v_hi = float(v[np.searchsorted(cum, hi + 1, side="left")])
-            # DuckDB's interpolation form lo·(1−f) + hi·f (bit-exact)
-            frac = h - lo
-            out_v.append(v_lo * (1.0 - frac) + v_hi * frac)
-        return pa.table(
-            {"q": pa.array(out_q, pa.float64()), "v": pa.array(out_v, pa.float64())}
-        )
-
-    return hist.map_batches(
-        pick, batch_format="pyarrow", zero_copy_batch=True, batch_size=1 << 40,
-        num_cpus=0.9,
-    )
+    interpolation is DuckDB's form lo·(1−f) + hi·f, f = q·(n−1) −
+    floor (see ``_pick_quantile``). NULLs are ignored (as SQL does); an
+    empty/all-null column yields null v."""
+    _check_qs("exact_quantiles_cont", qs)
+    return _histogram_quantiles(ds, col, qs, "cont")
 
 
 # ------------------------------------------------- weighted sampling / CDC

@@ -768,11 +768,6 @@ def simhash64_batch(texts: list) -> np.ndarray:
     return out
 
 
-def simhash64(text: str) -> int:
-    """Single-doc convenience wrapper over ``simhash64_batch``."""
-    return int(simhash64_batch([text])[0])
-
-
 def add_simhash(ds: ray.data.Dataset, text_col: str = "text") -> ray.data.Dataset:
     def fn(batch: pa.Table) -> pa.Table:
         hs = simhash64_batch(batch[text_col].to_pylist())

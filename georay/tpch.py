@@ -4400,14 +4400,6 @@ FROM documents WHERE doc_id % {PLANT_MOD} = 0
 """
 
 
-def q_simhash_neardup(sf_dir: str):
-    """SimHash banding candidates + exact Hamming (rows-only)."""
-    from georay.stages import dedup as dedup_stage
-
-    ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-    return dedup_stage.simhash_candidates(ds)
-
-
 def q_simhash_planted(sf_dir: str):
     """Count-style oracle for the SimHash pipeline, same planting device
     as ``minhash_planted``: an exact copy has Hamming distance 0, so all
@@ -4996,21 +4988,6 @@ def q_pq_ann(sf_dir: str):
 SQL_PQ_ANN = f"""
 SELECT {ANN_NQ} AS n_queries, {ANN_K} AS k, TRUE AS recall_ok
 """
-
-
-def q_embed_neardup(sf_dir: str):
-    """Embedding-cosine near-duplicate pairs via hyperplane LSH
-    (rows-only; planted-duplicate recall pinned in tests and by the
-    embed_planted count oracle)."""
-    from georay.stages import embed as embed_stage
-
-    ds = rd.read_parquet(_t(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
-    out = embed_stage.embedding_neardup_pairs(ds, threshold=0.98).to_pandas()
-    if len(out) == 0 or "id_a" not in out.columns:
-        return pa.table(
-            {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}
-        )
-    return pa.Table.from_pandas(out[["id_a", "id_b"]], preserve_index=False)
 
 
 def q_embed_planted(sf_dir: str):
@@ -6930,33 +6907,6 @@ FROM (
   FROM pri
 ) WHERE rn <= 3
 """
-
-
-def q_convex_hull_wkt(sf_dir: str):
-    """Per-group convex hulls (dissolve-to-hull) of the lineitem
-    geotags grouped by linenumber — hull WKT through the engine's own
-    native builder + WKT writer (analytics.grouped_convex_hull).
-    No SQL twin exists for WKT hulls; pinned by geometry pytest
-    invariants and exercised by bench. The ORACLED hull query is
-    ``convex_hulls`` (derived scalars)."""
-    from georay import analytics
-
-    pts = lineitem_points(sf_dir, extra_cols=["l_linenumber"])
-
-    def lonlat(batch: pa.Table) -> pa.Table:
-        lon, lat = ops.point_lonlat(batch, "geotag")
-        return pa.table(
-            {
-                "l_linenumber": batch["l_linenumber"].cast(pa.int64()),
-                "lon": pa.array(lon),
-                "lat": pa.array(lat),
-            }
-        )
-
-    pts = pts.map_batches(
-        lonlat, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
-    return analytics.grouped_convex_hull(pts, "l_linenumber", "lon", "lat")
 
 
 def q_convex_hulls(sf_dir: str):

@@ -1390,6 +1390,10 @@ def test_radix_quantile_cont_pins(ray_session):
     o = ops.exact_quantiles_radix_cont(one, "x", [0.5]).to_pandas()
     assert o["v"].iloc[0] == 42.0
 
+    empty = rd.from_arrow(pa.table({"x": pa.array([], pa.float64())}))
+    e = ops.exact_quantiles_radix_cont(empty, "x", [0.25, 0.5]).to_pandas()
+    assert len(e) == 2 and e["v"].isna().all()
+
 
 def test_ancestor_closure_review_fixes(ray_session):
     """Review hardening: (1) the DISTRIBUTED path rejects duplicate
@@ -1643,6 +1647,114 @@ def test_radix_quantile_int64_native(ray_session):
     w = ops.exact_quantiles_radix(rd.from_arrow(t2), "x", [0.5],
                                   weight_col="w").to_pandas()
     assert int(w["v"].iloc[0]) == big + 1  # cumw hits ceil(0.5*4)=2 there
+
+
+def test_grouped_radix_quantile_int64_native(ray_session):
+    """The grouped radix select keeps integer keys native too: adjacent
+    odd values beyond 2^53 stay apart and ``v`` is int64."""
+    import ray.data as rd
+
+    big = (1 << 53) + 1
+    t = pa.table({"g": pa.array([7, 7, 7], pa.int64()),
+                  "x": pa.array([big, big + 2, big + 4], pa.int64())})
+    out = ops.grouped_quantiles_radix(
+        rd.from_arrow(t), "g", "x", [0.0, 0.5, 1.0]
+    ).to_pandas().sort_values("q")
+    assert out["v"].dtype == np.int64
+    assert [int(v) for v in out["v"]] == [big, big + 2, big + 4]
+    assert out["g"].dtype == np.int64
+
+
+# (group, value, weight) rows shared by the quantile-family q checks
+_QG = [1, 1, 1, 2, 2, 2]
+_QX = [1.0, 2.0, 3.0, 10.0, 20.0, 30.0]
+_QUANTILE_OPS = {
+    "exact_quantiles": lambda d, qs: ops.exact_quantiles(d, "x", qs),
+    "exact_quantiles_cont": lambda d, qs: ops.exact_quantiles_cont(d, "x", qs),
+    "grouped_quantiles": lambda d, qs: ops.grouped_quantiles(d, "g", "x", qs),
+    "grouped_quantiles_cont": lambda d, qs: ops.grouped_quantiles(
+        d, "g", "x", qs, interp="cont"),
+    "exact_quantiles_radix": lambda d, qs: ops.exact_quantiles_radix(
+        d, "x", qs),
+    "exact_quantiles_radix_weighted": lambda d, qs: ops.exact_quantiles_radix(
+        d, "x", qs, weight_col="w"),
+    "exact_quantiles_radix_cont": lambda d, qs: ops.exact_quantiles_radix_cont(
+        d, "x", qs),
+    "grouped_quantiles_radix": lambda d, qs: ops.grouped_quantiles_radix(
+        d, "g", "x", qs),
+    "winsorize": lambda d, qs: ops.winsorize(
+        d, "g", "x", q_lo=qs[0], q_hi=qs[-1]),
+}
+
+
+def _quantile_input():
+    import ray.data as rd
+
+    return rd.from_arrow(pa.table({
+        "g": pa.array(_QG, pa.int64()), "x": pa.array(_QX, pa.float64()),
+        "w": pa.array([1] * len(_QX), pa.int64()),
+    }))
+
+
+@pytest.mark.parametrize("bad", [-0.5, 1.5, float("nan")])
+@pytest.mark.parametrize("name", sorted(_QUANTILE_OPS))
+def test_quantile_q_outside_unit_interval_raises(ray_session, name, bad):
+    """Every quantile entry point rejects a q outside [0, 1] (or NaN) on
+    the driver instead of an IndexError in a task or a silent answer;
+    q = 0 and q = 1 still give each group's min and max."""
+    fn = _QUANTILE_OPS[name]
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        fn(_quantile_input(), [0.5, bad]).to_pandas()
+
+    out = fn(_quantile_input(), [0.0, 1.0]).to_pandas()
+    if name == "winsorize":  # clamping to [min, max] changes nothing
+        assert list(out["x_w"]) == _QX
+        return
+    got = {(r.get("g", 1), r["q"]): r["v"] for r in out.to_dict("records")}
+    lo_hi = {1: (1.0, 3.0), 2: (10.0, 30.0)} if "g" in out else {1: (1.0, 30.0)}
+    assert got == {(g, q): v for g, (lo, hi) in lo_hi.items()
+                   for q, v in ((0.0, lo), (1.0, hi))}
+
+
+@pytest.mark.parametrize("n_groups", [2, 50])
+@pytest.mark.parametrize("n_qs", [1, 5])
+def test_radix_quantiles_are_four_ray_data_executions(
+    ray_session, monkeypatch, n_qs, n_groups
+):
+    """Every radix entry point is exactly 4 Ray Data executions (one
+    per 16-bit digit) however many quantiles and groups ride them."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    orig = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    rng = np.random.RandomState(n_qs * n_groups)
+    n = 2000
+    t = pa.table({
+        "g": pa.array(rng.randint(0, n_groups, n), pa.int64()),
+        "x": pa.array(rng.randn(n) * 1e3, pa.float64()),
+        "w": pa.array(rng.randint(0, 5, n), pa.int64()),
+    })
+    qs = list(np.linspace(0.05, 0.95, n_qs))
+    ds = rd.from_arrow(t)
+    runs = {
+        "plain": lambda: ops.exact_quantiles_radix(ds, "x", qs),
+        "weighted": lambda: ops.exact_quantiles_radix(
+            ds, "x", qs, weight_col="w"),
+        "cont": lambda: ops.exact_quantiles_radix_cont(ds, "x", qs),
+        "grouped": lambda: ops.grouped_quantiles_radix(ds, "g", "x", qs),
+    }
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    for name, run in runs.items():
+        calls.clear()
+        out = run()
+        assert len(calls) == 4, name
+        assert len(out.take_all()) == n_qs * (n_groups if name == "grouped" else 1)
 
 
 def test_radix_quantile_int_nulls(ray_session):
