@@ -42,7 +42,6 @@ def q_flagship(sf_dir: str) -> Any:
         geometry_col="geometry",
         id_col="p_partkey",
         mode="left",
-        concurrency=(1, 4),
     )
     joined = ops.add_tile_columns(joined, zoom=6)
     hist = ops.salted_count(joined, "cell_parent", count_alias="n")

@@ -110,9 +110,7 @@ def run_bench() -> dict:
     # image+caption table (bytes never shuffled), fresh output dir
     out_dir = tempfile.mkdtemp(prefix="georay_bench_out_")
     t0 = time.perf_counter()
-    summary = pipeline.run_flagship(
-        images_dir, out_dir, polygons, zoom=8, concurrency=(4, max(4, NCPU // 2))
-    )
+    summary = pipeline.run_flagship(images_dir, out_dir, polygons, zoom=8)
     timings["flagship_images"] = round(time.perf_counter() - t0, 3)
     counts["flagship_images"] = summary["rows"]
     # q7: per-row image invariant (decode + PSNR) — the multimodal stage
@@ -500,11 +498,11 @@ SCALE_REP = int(os.environ.get("GEORAY_SCALE_REP", "32"))
 
 def run_scaling_worker() -> dict:
     """The measured scaling pipeline: image decode + PSNR validation +
-    cell/tile encode (fused stateless stage) → broadcast PIP join (actor
-    pool) → skew-safe per-cell aggregate, over the images table amplified
-    ``SCALE_REP``× (same input at both parallelism levels). A tiny warm-up
-    run pre-starts workers so the measurement is the steady-state
-    pipeline, not process spin-up."""
+    cell/tile encode (fused stateless stage) → broadcast PIP join (fused
+    into the same tasks) → skew-safe per-cell aggregate, over the images
+    table amplified ``SCALE_REP``× (same input at both parallelism
+    levels). A tiny warm-up run pre-starts workers so the measurement is
+    the steady-state pipeline, not process spin-up."""
     import glob
 
     import numpy as np
@@ -557,7 +555,7 @@ def run_scaling_worker() -> dict:
         # blocks never enter the object store
         ds = rd.read_parquet(file_list)
         ds = ds.map_batches(fused, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-        ds = pip_join(ds, polygons, mode="left", batch_size=None)
+        ds = pip_join(ds, polygons, mode="left")
         return ops.salted_count(ds, "cell_parent", count_alias="n")
 
     # warm-up (~1/32 of the data): page cache + worker processes

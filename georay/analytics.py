@@ -22,6 +22,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from georay import exchange
 from georay.index import _ragged_ranges
 from georay.ops import (
     _group_reduce,
@@ -337,8 +338,6 @@ def item_similarity_topk(
     a vectorized int64 batch map with an explicit overflow guard; the
     final per-item cut reuses ``group_top_k``'s map-side-pruned
     shuffle."""
-    import ray as _ray
-
     from georay.ops import group_top_k
 
     pairs = cooccurrence_edges(
@@ -388,14 +387,11 @@ def item_similarity_topk(
     ng = occ["n_g"].to_numpy().astype(np.int64)
     order = np.argsort(items)
     items, ng = items[order], ng[order]
-    occ_ref = _ray.put((items, ng))
-    cache: dict = {}
+    occ_ref = exchange.broadcast((items, ng))
     shift = int(scale_bits)
 
     def score(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        it, n_g = cache.setdefault("o", _rayw.get(occ_ref))
+        it, n_g = occ_ref.get()
         a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         sup = batch["support"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -550,7 +546,7 @@ def triangle_count(
     ``degree_strategy``: how step (2) reads degrees —
 
     - ``"broadcast"`` (default): degree table collected once and
-      ``ray.put`` (searchsorted per batch; node table ≪ edge bytes).
+      ``exchange.broadcast`` (searchsorted per batch; node table ≪ edge bytes).
     - ``"partitioned"``: degrees attached by TWO hash-bucket co-shuffle
       joins (``_attach_lookup`` by ``a`` then by ``b``) — the node
       table never lands on the driver; the billion-node scale path.
@@ -568,9 +564,7 @@ def triangle_count(
             return ray.data.from_arrow(
                 pa.table({"n_triangles": pa.array([0], pa.int64())})
             )
-        t = pa.concat_tables(
-            edges.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
+        t = exchange.collect(edges)
         a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         total = _triangle_count_local(a, b)
@@ -610,15 +604,14 @@ def triangle_count(
             batch_size=None,
         )
     else:
-        tbl = pa.concat_tables([ray.get(r) for r in degrees.to_arrow_refs()])
+        tbl = exchange.collect(degrees)
         nodes = tbl["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         degs = tbl["degree"].to_numpy(zero_copy_only=False).astype(np.int64)
         o = np.argsort(nodes, kind="stable")
-        nodes_ref = ray.put(nodes[o])
-        degs_ref = ray.put(degs[o])
+        deg_ref = exchange.broadcast((nodes[o], degs[o]))
 
         def orient(batch: pa.Table) -> pa.Table:
-            ns, dg = ray.get(nodes_ref), ray.get(degs_ref)
+            ns, dg = deg_ref.get()
             a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
             b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
             da = dg[np.searchsorted(ns, a)]
@@ -769,7 +762,7 @@ def label_propagation(
     pins).
 
     Plan per round (broadcast): the o(nodes) label table is broadcast
-    via ``ray.put``; ONE streaming pass over the edge list emits
+    via ``exchange.broadcast``; ONE streaming pass over the edge list emits
     per-batch partial (dst, neighbor-label) counts into the combine
     tree, and the modal pick folds driver-side on the merged count
     table (≤ one row per distinct (node, neighbor-label) — bounded by
@@ -787,8 +780,6 @@ def label_propagation(
     partitioned seconds: 9.9/9.2 at 2M, 25.1/11.2 at 5M, 54.7/11.8 at
     10M, 32 cpus). All three plans are pinned identical by pytest.
     Returns ``(node, label)``."""
-    import ray as _ray
-
     edges = edges.materialize()
     n_edges = edges.count()
     if n_edges == 0:
@@ -799,9 +790,7 @@ def label_propagation(
     if n_edges > max(local_edge_cutoff, broadcast_edge_cutoff):
         return label_propagation_partitioned(edges, rounds=rounds)
     if n_edges <= local_edge_cutoff:
-        t = pa.concat_tables(
-            edges.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
+        t = exchange.collect(edges)
         a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         nodes = np.unique(np.concatenate([a, b]))
@@ -827,13 +816,10 @@ def label_propagation(
     nodes = np.sort(nodet["node"].to_numpy().astype(np.int64))
     lab = nodes.copy()
     for _ in range(rounds):
-        lab_ref = _ray.put((nodes, lab))
-        cache: dict = {}
+        lab_ref = exchange.broadcast((nodes, lab))
 
         def count_partial(batch: pa.Table) -> pa.Table:
-            import ray as _rayw
-
-            ns, ls = cache.setdefault("l", _rayw.get(lab_ref))
+            ns, ls = lab_ref.get()
             a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
             b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
             dst = np.concatenate([b, a])
@@ -971,13 +957,11 @@ def modularity(
     quality gate for any community assignment (``label_propagation``,
     components, externally supplied).
 
-    Plan: the o(nodes) label table broadcasts via ``ray.put``; ONE
+    Plan: the o(nodes) label table broadcasts via ``exchange.broadcast``; ONE
     streaming pass over the edge list emits per-batch partial
     ``(community, intra-edge count, degree sum)`` rows into the combine
     tree; the final Σ_c fold runs driver-side in arbitrary-precision
     ints over the o(communities) table."""
-    import ray as _ray
-
     labt = labels.to_pandas()
     if "node" not in labt.columns or len(labt) == 0:
         # empty labels (Ray 2.49 drops columns at 0 rows): valid only
@@ -989,13 +973,10 @@ def modularity(
         labs = labt["label"].to_numpy().astype(np.int64)
         order = np.argsort(nodes)
         nodes, labs = nodes[order], labs[order]
-    lab_ref = _ray.put((nodes, labs))
-    cache: dict = {}
+    lab_ref = exchange.broadcast((nodes, labs))
 
     def partial(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        ns, ls = cache.setdefault("l", _rayw.get(lab_ref))
+        ns, ls = lab_ref.get()
         a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         ca = ls[np.searchsorted(ns, a)]
@@ -1070,7 +1051,7 @@ def pagerank(
 
     Plan per iteration: per-node contributions (rank // deg) are
     computed driver-side on the o(nodes) label table and broadcast via
-    ``ray.put``; ONE streaming pass over the edge list emits per-batch
+    ``exchange.broadcast``; ONE streaming pass over the edge list emits per-batch
     partial destination sums that merge through the combine tree. The
     edge list never shuffles and is read ``n_iter`` times — pass a
     materialized edge Dataset. Node table fits the driver (same bound
@@ -1091,8 +1072,6 @@ def pagerank(
     as connected_components: the edge list is already o(the node table
     this function materializes), and each distributed round is pure
     scheduling barrier at that size)."""
-    import ray as _ray
-
     def _base_and_init(nodes_sorted: np.ndarray):
         n = nodes_sorted.shape[0]
         scale = 1 << scale_bits
@@ -1125,9 +1104,7 @@ def pagerank(
                 pa.table({"node": pa.array([], pa.int64()),
                           "rank_q": pa.array([], pa.int64())})
             )
-        t = pa.concat_tables(
-            edges.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
+        t = exchange.collect(edges)
         a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         if a.shape[0] == 0:
@@ -1155,7 +1132,7 @@ def pagerank(
         )
 
     degs = degree_table(edges)
-    tbl = pa.concat_tables(_ray.get(degs.to_arrow_refs()))
+    tbl = exchange.collect(degs)
     nodes = tbl["node"].to_numpy(zero_copy_only=False).astype(np.int64)
     deg = tbl["degree"].to_numpy(zero_copy_only=False).astype(np.int64)
     o = np.argsort(nodes, kind="stable")
@@ -1170,11 +1147,10 @@ def pagerank(
 
     for _ in range(n_iter):
         contrib = rank // deg
-        ref = _ray.put((nodes, contrib))
-        cache: dict = {}
+        ref = exchange.broadcast((nodes, contrib))
 
         def emit(batch: pa.Table, _ref=ref) -> pa.Table:
-            ns, cv = cache.setdefault("m", _ray.get(_ref))
+            ns, cv = _ref.get()
             a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
             b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
             dst = np.concatenate([b, a])
@@ -1195,7 +1171,7 @@ def pagerank(
             ),
             ["node"], {"partial_c": "c"}, int_cols=("partial_c",),
         )
-        st = pa.concat_tables(_ray.get(sums_ds.to_arrow_refs()))
+        st = exchange.collect(sums_ds)
         c_nodes = st["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         c_sums = st["c"].to_numpy(zero_copy_only=False).astype(np.int64)
         sums = np.zeros(n, dtype=np.int64)
@@ -1258,8 +1234,6 @@ def pagerank_weighted(
     one). Same two plans as ``pagerank``: in-memory under the cutoff,
     else per-iteration streaming edge pass + combine tree with the
     o(nodes) (rank, wdeg) table broadcast."""
-    import ray as _ray
-
     edges = edges.materialize()
     n_edges = edges.count()
     empty = pa.table(
@@ -1269,9 +1243,7 @@ def pagerank_weighted(
         return ray.data.from_arrow(empty)
     scale = 1 << scale_bits
     if n_edges <= local_edge_cutoff:
-        t = pa.concat_tables(
-            edges.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
+        t = exchange.collect(edges)
         a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         if a.shape[0] == 0:
@@ -1328,11 +1300,10 @@ def pagerank_weighted(
     base_q = ((damping_den - damping_num) * scale) // (damping_den * n)
     rank = np.full(n, scale // n, dtype=np.int64)
     for _ in range(n_iter):
-        ref = _ray.put((nodes, rank, wdeg))
-        cache: dict = {}
+        ref = exchange.broadcast((nodes, rank, wdeg))
 
         def emit(batch: pa.Table, _ref=ref) -> pa.Table:
-            ns, rk, wd = cache.setdefault("m", _ray.get(_ref))
+            ns, rk, wd = _ref.get()
             a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
             b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
             w = np.asarray(weight_fn(a, b), np.int64)
@@ -1465,9 +1436,7 @@ def rectangle_count(
             return ray.data.from_arrow(
                 pa.table({"n_rectangles": pa.array([0], pa.int64())})
             )
-        t = pa.concat_tables(
-            edges.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
+        t = exchange.collect(edges)
         a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         return ray.data.from_arrow(
@@ -3170,9 +3139,7 @@ def bfs_hops(
             edges, seed_pred, id_a=id_a, id_b=id_b, max_hops=max_hops,
             n_buckets=n_buckets,
         )
-    import pyarrow as _pa
-
-    et = _pa.concat_tables(ray.get(edges.to_arrow_refs()))
+    et = exchange.collect(edges)
     a = et[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
     b = et[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
     src = np.concatenate([a, b])
@@ -3451,9 +3418,7 @@ def ancestor_closure(
 
     edges = edges.materialize()  # cutoff count + closure share one execution
     if edges.count() <= local_edge_cutoff:
-        import pyarrow as _pa
-
-        et = _pa.concat_tables(ray.get(edges.to_arrow_refs()))
+        et = exchange.collect(edges)
         node = et[node_col].to_numpy(zero_copy_only=False).astype(np.int64)
         par = et[parent_col].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(node)
@@ -3802,7 +3767,7 @@ def kcore_peel(
 
     Each round is one streaming degree pass (combine tree) + one edge
     filter. ``degree_strategy="broadcast"`` ships the surviving node
-    set via ``ray.put`` (node tables are vocabulary-sized for the
+    set via ``exchange.broadcast`` (node tables are vocabulary-sized for the
     co-purchase graphs here); ``"partitioned"`` routes the survival
     flag through the two hash-bucket co-shuffles of
     ``_attach_lookup`` — the billion-node path, bit-identical."""
@@ -3906,20 +3871,17 @@ def kcore_peel(
         deg = degree_table(cur).materialize()
         if deg.count() == 0:
             return _empty_deg
-        # broadcast strategy: surviving node set ships via ray.put
-        import pyarrow as _pa
-
-        dt = _pa.concat_tables(ray.get(deg.to_arrow_refs()))
+        # broadcast strategy: surviving node set ships once
+        dt = exchange.collect(deg)
         nodes = dt["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         dd = dt["degree"].to_numpy(zero_copy_only=False).astype(np.int64)
         surv = np.sort(nodes[dd >= k])
         if surv.shape[0] == 0:  # everything peeled
             return _empty_deg
-        ref = ray.put(surv)
-        cache: dict = {}
+        ref = exchange.broadcast(surv)
 
         def keep(batch: pa.Table, _ref=ref) -> pa.Table:
-            sv = cache.setdefault(id(_ref), ray.get(_ref))
+            sv = _ref.get()
             a = batch[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
             b = batch[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
             pa_ = np.searchsorted(sv, a)
@@ -3965,16 +3927,14 @@ def degree_assortativity(
     ``(n_pairs, cov_num, var_a, var_b)`` of the (deg(src), deg(dst))
     integer moments — Pearson r is ``cov_num / sqrt(var_a · var_b)``
     downstream. One streaming degree pass (combine tree), the degree
-    table broadcast once via ``ray.put``, then one streaming edge pass
+    table broadcast once via ``exchange.broadcast``, then one streaming edge pass
     folding to a single partial row per batch — the edge list never
     shuffles. Symmetry makes var_a = var_b by construction (kept
     separate anyway — the SQL twin computes both)."""
     edges = _rename_edges(edges, id_a, id_b)
     id_a, id_b = "a", "b"
     deg = degree_table(edges)
-    import pyarrow as _pa
-
-    dt = _pa.concat_tables(ray.get(deg.to_arrow_refs()))
+    dt = exchange.collect(deg)
     if dt.num_rows == 0 or "node" not in dt.column_names:
         # empty graph: zero pairs, zero moments (empty blocks lose the
         # column schema in Ray 2.49 — ROUND_NOTES quirk)
@@ -3991,11 +3951,10 @@ def degree_assortativity(
     nodes = dt["node"].to_numpy(zero_copy_only=False).astype(np.int64)
     dd = dt["degree"].to_numpy(zero_copy_only=False).astype(np.int64)
     o = np.argsort(nodes)
-    ref = ray.put((nodes[o], dd[o]))
-    cache: dict = {}
+    ref = exchange.broadcast((nodes[o], dd[o]))
 
     def partial(batch: pa.Table) -> pa.Table:
-        nd, dg = cache.setdefault("m", ray.get(ref))
+        nd, dg = ref.get()
         a = batch[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
         da = dg[np.searchsorted(nd, a)]
@@ -4076,16 +4035,13 @@ def edge_jaccard(
     edges = _rename_edges(edges, id_a, id_b)
 
     deg_ref = None
-    cache: dict = {}
     if ra_bits is not None:
-        import pyarrow as _pa
-
-        dt = _pa.concat_tables(ray.get(degree_table(edges).to_arrow_refs()))
+        dt = exchange.collect(degree_table(edges))
         if dt.num_rows and "node" in dt.column_names:
             dn = dt["node"].to_numpy(zero_copy_only=False).astype(np.int64)
             dd = dt["degree"].to_numpy(zero_copy_only=False).astype(np.int64)
             o = np.argsort(dn)
-            deg_ref = ray.put((dn[o], dd[o]))
+            deg_ref = exchange.broadcast((dn[o], dd[o]))
 
     def _bucket(arr: np.ndarray) -> np.ndarray:
         return (_ops._mix64(arr.view(np.uint64).copy()) % nb).astype(np.int64)
@@ -4214,7 +4170,7 @@ def edge_jaccard(
         if ra_bits is not None:
             ra = np.zeros(starts.shape[0], np.int64)
             if deg_ref is not None and same_t.any():
-                dn, dd = cache.setdefault("deg", ray.get(deg_ref))
+                dn, dd = deg_ref.get()
                 zn = nbr[same_t]
                 w = (np.int64(1) << np.int64(ra_bits)) // dd[
                     np.searchsorted(dn, zn)
@@ -4251,9 +4207,7 @@ def negative_edge_samples(
     from georay import ops as _ops
 
     edges = _rename_edges(edges, id_a, id_b)
-    import pyarrow as _pa
-
-    dt = _pa.concat_tables(ray.get(degree_table(edges).to_arrow_refs()))
+    dt = exchange.collect(degree_table(edges))
     if dt.num_rows == 0 or "node" not in dt.column_names:
         return ray.data.from_arrow(
             pa.table(
@@ -4270,11 +4224,10 @@ def negative_edge_samples(
             "negative_edge_samples: node id ≥ 2^43 would wrap the "
             "int64 seed a·1000003 + b"
         )
-    ref = ray.put(nodes)
-    cache: dict = {}
+    ref = exchange.broadcast(nodes)
 
     def propose(batch: pa.Table) -> pa.Table:
-        nd = cache.setdefault("n", ray.get(ref))
+        nd = ref.get()
         a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         h = _ops._mix64((a * np.int64(1000003) + b).view(np.uint64).copy())
@@ -4695,8 +4648,6 @@ def hits_scores(
     the identical integer CTEs with HUGEINT intermediates, so results
     are bit-identical. Returns ``(side, node, score_q)`` with side in
     ``('hub', 'auth')``."""
-    import ray as _ray
-
     edges = edges.materialize()
 
     def ends(batch: pa.Table) -> pa.Table:
@@ -4723,7 +4674,7 @@ def hits_scores(
         ),
         ["node", "side"], {"partial_one": "c"}, int_cols=("partial_one",),
     )
-    tbl = pa.concat_tables(_ray.get(nt.to_arrow_refs()))
+    tbl = exchange.collect(nt)
     node_arr = tbl["node"].to_numpy(zero_copy_only=False).astype(np.int64)
     side_arr = tbl["side"].to_numpy(zero_copy_only=False).astype(np.int64)
     hubs = np.sort(node_arr[side_arr == 0])
@@ -4743,11 +4694,10 @@ def hits_scores(
     h_q = np.zeros(hubs.shape[0], dtype=np.int64)
 
     def _edge_sum(nodes_from, q_from, col_from, col_to, nodes_to):
-        ref = _ray.put((nodes_from, q_from))
-        cache: dict = {}
+        ref = exchange.broadcast((nodes_from, q_from))
 
         def emit(batch: pa.Table, _ref=ref) -> pa.Table:
-            ns, qv = cache.setdefault("m", _ray.get(_ref))
+            ns, qv = _ref.get()
             f = batch[col_from].to_numpy(zero_copy_only=False).astype(np.int64)
             t = batch[col_to].to_numpy(zero_copy_only=False).astype(np.int64)
             c = qv[np.searchsorted(ns, f)]
@@ -4766,7 +4716,7 @@ def hits_scores(
             ),
             ["node"], {"partial_c": "c"}, int_cols=("partial_c",),
         )
-        st = pa.concat_tables(_ray.get(sums_ds.to_arrow_refs()))
+        st = exchange.collect(sums_ds)
         cn = st["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         cs = st["c"].to_numpy(zero_copy_only=False).astype(np.int64)
         raw = np.zeros(nodes_to.shape[0], dtype=np.int64)
@@ -4839,7 +4789,7 @@ def sssp_rounds(
             edges, seed_pred, weight_fn, rounds=rounds, id_a=id_a,
             id_b=id_b, n_buckets=n_buckets, directed=directed,
         )
-    et = pa.concat_tables(ray.get(edges.to_arrow_refs()))
+    et = exchange.collect(edges)
     a = et[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
     b = et[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
     w1 = np.asarray(weight_fn(a, b), dtype=np.int64)
@@ -5130,15 +5080,13 @@ def avg_neighbor_degree(
     ``degree_assortativity`` moment summarizes.
 
     Two streaming edge passes: the degree table merges through one
-    combine tree, is broadcast once via ``ray.put`` (same o(nodes)
+    combine tree, is broadcast once via ``exchange.broadcast`` (same o(nodes)
     bound ``pagerank`` documents; swap for ``_attach_lookup``'s
     hash-bucket co-shuffle at billion-node scale), then per-batch
     partial Σ deg(neighbor) rows merge through a second tree."""
-    import ray as _ray
-
     edges = edges.materialize()
     degs = degree_table(edges)
-    tbl = pa.concat_tables(_ray.get(degs.to_arrow_refs()))
+    tbl = exchange.collect(degs)
     nodes = tbl["node"].to_numpy(zero_copy_only=False).astype(np.int64)
     deg = tbl["degree"].to_numpy(zero_copy_only=False).astype(np.int64)
     o = np.argsort(nodes, kind="stable")
@@ -5153,11 +5101,10 @@ def avg_neighbor_degree(
                 }
             )
         )
-    ref = _ray.put((nodes, deg))
-    cache: dict = {}
+    ref = exchange.broadcast((nodes, deg))
 
     def emit(batch: pa.Table, _ref=ref) -> pa.Table:
-        ns, dv = cache.setdefault("m", _ray.get(_ref))
+        ns, dv = _ref.get()
         a = batch[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
         src = np.concatenate([a, b])
@@ -5180,7 +5127,7 @@ def avg_neighbor_degree(
     )
 
     def attach(batch: pa.Table, _ref=ref) -> pa.Table:
-        ns, dv = cache.setdefault("m", _ray.get(_ref))
+        ns, dv = _ref.get()
         node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {

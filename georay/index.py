@@ -1,9 +1,10 @@
 """Broadcastable spatial indexes for the join stages.
 
 Both indexes are built once (driver or a single Ray task), shipped to the
-object store with ``ray.put``, and read by every joiner actor in its
-``__init__`` — the broadcast-hash-join pattern: no shuffle of the big
-side, the small side moves once per node (SURVEY.md §2.B5/B6).
+object store with ``exchange.broadcast``, and fetched once per worker
+process by the probe tasks — the broadcast-hash-join pattern: no
+shuffle of the big side, the small side moves once per worker
+(SURVEY.md §2.B5/B6).
 
 All lookups are CSR (sorted keys + offsets + values) so probe batches
 resolve with one ``np.searchsorted`` — no Python dict in the hot path.
@@ -890,7 +891,7 @@ class STRPointIndex:
     alternative to ``PointIndex``'s uniform grid for kNN and box
     probes (the r3 verdict's remaining STR gap). Same flat
     implicit-fanout layout as ``STRPolygonIndex`` (four numpy arrays
-    per level, zero pointers, broadcastable via ``ray.put``).
+    per level, zero pointers, broadcastable via ``exchange.broadcast``).
 
     kNN runs as per-probe RADIUS DOUBLING over the tree: each round
     descends the levels once for all active probes with their current
@@ -1093,7 +1094,7 @@ class STRPolygonIndex:
     above pack every ``fanout`` consecutive nodes, so child ranges are
     IMPLICIT (node i covers children [i·f, (i+1)·f)) and the whole
     tree is four flat numpy arrays per level — zero pointers, zero
-    Python objects, broadcastable via ``ray.put`` like the grid index.
+    Python objects, broadcastable via ``exchange.broadcast`` like the grid index.
 
     Probing descends all levels at once per batch: (point, node)
     candidate pairs expand by fanout and filter by bbox containment at

@@ -1,12 +1,10 @@
-"""Spatial joins (SURVEY.md §2.B5/B6), three execution shapes:
+"""Spatial joins (SURVEY.md §2.B5/B6), two execution shapes:
 
-1. **Broadcast + fused stateless tasks** (default): the small-side index
-   ships once via ``ray.put`` and is cached per worker process; the probe
-   fuses with the upstream read chain. The big side never shuffles.
-2. **Broadcast + actor pool**: a callable CLASS materializes the index
-   ONCE per actor in ``__init__`` (the reference's kernel ``start()``
-   analogue, src/geoarrow.c:1936-1996) — for huge indexes / heavy state.
-3. **Co-partitioned** (``pip_join_partitioned``): both sides large — one
+1. **Broadcast + fused stateless tasks**: the small-side index ships
+   once via ``exchange.broadcast`` and is fetched once per worker
+   process; the probe fuses with the upstream read chain. The big side
+   never shuffles.
+2. **Co-partitioned** (``pip_join_partitioned``): both sides large — one
    ``groupby(cell)`` shuffle co-locates points with the polygons covering
    their cell; the same vectorized kernel joins each bucket locally.
 """
@@ -20,51 +18,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from georay import ops
+from georay import exchange, ops
 from georay.index import PointIndex, PolygonIndex
-
-
-class PIPJoiner:
-    """Point-in-polygon probe stage.
-
-    modes: "inner" (one output row per match, point cols + polygon cols),
-    "left" (every point, null polygon_id when no match), "semi" (points
-    with ≥1 match), "anti" (points with no match).
-    """
-
-    def __init__(self, index_ref, geom_col: str, mode: str, payload_cols):
-        self.index: PolygonIndex = ray.get(index_ref)
-        self.geom_col = geom_col
-        self.mode = mode
-        self.payload_cols = payload_cols
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon, lat = ops.point_lonlat(batch, self.geom_col)
-        # NaNs (null/empty points) match nothing: encode to a probe value
-        # that cannot hit the index
-        bad = ~(np.isfinite(lon) & np.isfinite(lat))
-        lon = np.where(bad, 1e9, lon)
-        lat = np.where(bad, 1e9, lat)
-        n = len(batch)
-        if self.mode == "inner":
-            pidx, poly = self.index.contains(lon, lat)
-            out = batch.take(pa.array(pidx))
-            out = out.append_column(
-                "polygon_id", pa.array(self.index.polygon_ids[poly].tolist())
-            )
-            return out
-        # left/semi/anti need only the FIRST match → early-exit probe
-        first = self.index.contains_first(lon, lat)
-        has = first >= 0
-        if self.mode == "semi":
-            return batch.filter(pa.array(has))
-        if self.mode == "anti":
-            return batch.filter(pa.array(~has))
-        if self.mode == "left":
-            ids = np.full(n, None, dtype=object)
-            ids[has] = self.index.polygon_ids[first[has]]
-            return batch.append_column("polygon_id", pa.array(ids.tolist()))
-        raise ValueError(f"unknown mode {self.mode}")
 
 
 def pip_join(
@@ -75,14 +30,16 @@ def pip_join(
     id_col: str = "polygon_id",
     mode: str = "inner",
     res: float | None = None,
-    concurrency=(2, 8),
-    batch_size=None,
-    num_cpus: float = 1.0,
-    actor_pool: bool = False,
     index: str = "grid",
 ) -> ray.data.Dataset:
     """B5: broadcast PIP join. ``polygons`` must be the SMALL side (it is
-    materialized once per worker); the points Dataset streams through.
+    materialized once per worker process); the points Dataset streams
+    through stateless tasks that FUSE with the upstream read/map chain
+    (no extra object-store hop for wide rows, no pool spin-up).
+
+    modes: "inner" (one output row per match, point cols + polygon cols),
+    "left" (every point, null polygon_id when no match), "semi" (points
+    with ≥1 match), "anti" (points with no match).
 
     ``index``: "grid" (default — exact-cover grid buckets) or "str"
     (STR-packed R-tree, ``STRPolygonIndex`` — the north star's literal
@@ -91,15 +48,6 @@ def pip_join(
     generation cost profile (grid wins on uniform small polygons, the
     R-tree on wildly mixed extents where one grid resolution fits
     nobody).
-
-    Two execution shapes:
-    - ``actor_pool=False`` (default): stateless tasks + ``ray.put``
-      broadcast with a per-worker-process cache. The stage FUSES with the
-      upstream read/map chain (no extra object-store hop for wide rows,
-      no pool spin-up) — right when the index is small-to-medium.
-    - ``actor_pool=True``: a dedicated ``map_batches(Cls, concurrency=…)``
-      actor pool — right when the index is huge (load it exactly
-      ``concurrency`` times) or probes need GPU/heavy per-actor state.
     """
     if index == "str":
         from georay.index import STRPolygonIndex
@@ -111,34 +59,39 @@ def pip_join(
         idx = PolygonIndex.build(
             polygons, geometry_col=geometry_col, id_col=id_col, res=res
         )
-    ref = ray.put(idx)
-    if actor_pool:
-        return points.map_batches(
-            PIPJoiner,
-            fn_constructor_args=(ref, geom_col, mode, None),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=num_cpus,
-        )
-
-    cache: dict = {}
+    ref = exchange.broadcast(idx)
 
     def pip_fn(batch: pa.Table) -> pa.Table:
-        # one fetch per worker process (the dict deserializes fresh into
-        # each worker, then persists across that worker's tasks)
-        joiner = cache.get("j")
-        if joiner is None:
-            joiner = PIPJoiner(ref, geom_col, mode, None)
-            cache["j"] = joiner
-        return joiner(batch)
+        polys: PolygonIndex = ref.get()
+        lon, lat = ops.point_lonlat(batch, geom_col)
+        # NaNs (null/empty points) match nothing: encode to a probe value
+        # that cannot hit the index
+        bad = ~(np.isfinite(lon) & np.isfinite(lat))
+        lon = np.where(bad, 1e9, lon)
+        lat = np.where(bad, 1e9, lat)
+        n = len(batch)
+        if mode == "inner":
+            pidx, poly = polys.contains(lon, lat)
+            out = batch.take(pa.array(pidx))
+            out = out.append_column(
+                "polygon_id", pa.array(polys.polygon_ids[poly].tolist())
+            )
+            return out
+        # left/semi/anti need only the FIRST match → early-exit probe
+        first = polys.contains_first(lon, lat)
+        has = first >= 0
+        if mode == "semi":
+            return batch.filter(pa.array(has))
+        if mode == "anti":
+            return batch.filter(pa.array(~has))
+        if mode == "left":
+            ids = np.full(n, None, dtype=object)
+            ids[has] = polys.polygon_ids[first[has]]
+            return batch.append_column("polygon_id", pa.array(ids.tolist()))
+        raise ValueError(f"unknown mode {mode}")
 
     return points.map_batches(
-        pip_fn,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
+        pip_fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
 
 
@@ -167,13 +120,10 @@ def pip_count(
         idx0 = PolygonIndex.build(
             polygons, geometry_col=geometry_col, id_col=id_col, res=res
         )
-    ref = ray.put(idx0)
-    cache: dict = {}
+    ref = exchange.broadcast(idx0)
 
     def probe_count(batch: pa.Table) -> pa.Table:
-        if "i" not in cache:  # one fetch per worker process
-            cache["i"] = ray.get(ref)
-        idx: PolygonIndex = cache["i"]
+        idx: PolygonIndex = ref.get()
         lon, lat = ops.point_lonlat(batch, geom_col)
         bad = ~(np.isfinite(lon) & np.isfinite(lat))
         pidx, poly = idx.contains(
@@ -220,13 +170,10 @@ def pip_zonal_stats(
     index = PolygonIndex.build(
         polygons, geometry_col=geometry_col, id_col=id_col, res=res
     )
-    ref = ray.put(index)
-    cache: dict = {}
+    ref = exchange.broadcast(index)
 
     def probe_stats(batch: pa.Table) -> pa.Table:
-        if "i" not in cache:  # one fetch per worker process
-            cache["i"] = ray.get(ref)
-        idx: PolygonIndex = cache["i"]
+        idx: PolygonIndex = ref.get()
         # SQL aggregate semantics skip NULLs: drop null-value rows before
         # the reduce (astype would turn them into NaN and poison
         # sum/min/max/avg for the whole polygon)
@@ -444,35 +391,6 @@ def pip_join_partitioned(
     return both.groupby("cell").map_groups(join_bucket, batch_format="pyarrow")
 
 
-class KNNJoiner:
-    """kNN probe stage via grid-cell ring expansion (exact under the
-    planar (lon,lat) metric; ring-r stop bound proven in PointIndex.knn)."""
-
-    def __init__(self, index_ref, geom_col: str, k: int, id_out: str, probe_id_col):
-        self.index: PointIndex = ray.get(index_ref)
-        self.geom_col = geom_col
-        self.k = k
-        self.id_out = id_out
-        self.probe_id_col = probe_id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon, lat = ops.point_lonlat(batch, self.geom_col)
-        P, R, D = self.index.knn(lon, lat, self.k)
-        out = batch.take(pa.array(P))
-        ids = self.index.ref_ids[R]
-        out = out.append_column(self.id_out, pa.array(ids.tolist()))
-        out = out.append_column("knn_dist2", pa.array(D, pa.float64()))
-        rank = np.zeros(P.shape[0], dtype=np.int64)
-        if P.shape[0]:
-            # D is sorted within each probe; rank = position within probe
-            new = np.ones(P.shape[0], dtype=bool)
-            new[1:] = P[1:] != P[:-1]
-            starts = np.nonzero(new)[0]
-            rank = np.arange(P.shape[0]) - np.repeat(starts, np.diff(np.append(starts, P.shape[0])))
-        out = out.append_column("knn_rank", pa.array(rank + 1, pa.int64()))
-        return out
-
-
 def rect_intersect_count(
     rects: ray.data.Dataset,
     polygons: pa.Table,
@@ -489,7 +407,7 @@ def rect_intersect_count(
     overlaps it (exact rect–polygon decomposition —
     ``PolygonIndex.intersects_rect``). Per-rect counts are complete
     inside each batch, so there is NO shuffle; the polygon side ships
-    once via ``ray.put``. Rects with zero matches are dropped.
+    once via ``exchange.broadcast``. Rects with zero matches are dropped.
     ``index``: "grid" bbox-cover buckets or "str" R-tree descent —
     identical pairs (shared exact decomposition), parity-pinned.
     """
@@ -503,12 +421,11 @@ def rect_intersect_count(
         idx0 = PolygonIndex.build(
             polygons, geometry_col=geometry_col, id_col=poly_id_col, res=res
         )
-    ref = ray.put(idx0)
-    cache: dict = {}
+    ref = exchange.broadcast(idx0)
     cx0, cy0, cx1, cy1 = rect_cols
 
     def probe(batch: pa.Table) -> pa.Table:
-        idx = cache.setdefault("i", ray.get(ref))
+        idx = ref.get()
         ridx, _poly = idx.intersects_rect(
             batch[cx0].to_numpy(zero_copy_only=False),
             batch[cy0].to_numpy(zero_copy_only=False),
@@ -556,12 +473,11 @@ def rect_intersect_pairs(
         idx0 = PolygonIndex.build(
             polygons, geometry_col=geometry_col, id_col=poly_id_col, res=res
         )
-    ref = ray.put(idx0)
-    cache: dict = {}
+    ref = exchange.broadcast(idx0)
     cx0, cy0, cx1, cy1 = rect_cols
 
     def probe(batch: pa.Table) -> pa.Table:
-        idx = cache.setdefault("i", ray.get(ref))
+        idx = ref.get()
         ridx, poly = idx.intersects_rect(
             batch[cx0].to_numpy(zero_copy_only=False),
             batch[cy0].to_numpy(zero_copy_only=False),
@@ -619,7 +535,7 @@ def radius_join_pairs(
     km, great-circle). ``ref_payload`` — extra reference-side columns
     (name → array aligned with ``ref_ids``) carried onto each pair, so
     the join emits real payload rows, not just id pairs; the arrays ride
-    inside the one broadcast ``ray.put``. ``dist_out`` — optionally emit
+    inside the one broadcast ``exchange.broadcast``. ``dist_out`` — optionally emit
     the distance (squared degrees for planar, km for haversine).
     ``radius2`` (planar only) — PRE-SQUARED exact threshold: the exact
     filter compares ``d2 <= radius2`` instead of ``radius*radius``, for
@@ -639,11 +555,10 @@ def radius_join_pairs(
     payload = {
         k: np.asarray(v)[ok] for k, v in (ref_payload or {}).items()
     }
-    ref = ray.put((index, payload))
-    cache: dict = {}
+    ref = exchange.broadcast((index, payload))
 
     def probe_pairs(batch: pa.Table) -> pa.Table:
-        idx, pay = cache.setdefault("i", ray.get(ref))
+        idx, pay = ref.get()
         lon, lat = ops.point_lonlat(batch, geom_col)
         if metric == "haversine":
             P, R, d = idx.within_geodesic(lon, lat, radius)
@@ -697,11 +612,10 @@ def radius_join_count(
         np.asarray(ref_lon, np.float64), np.asarray(ref_lat, np.float64),
         np.asarray(ref_ids), res,
     )
-    ref = ray.put(index)
-    cache: dict = {}
+    ref = exchange.broadcast(index)
 
     def probe_count(batch: pa.Table) -> pa.Table:
-        idx: PointIndex = cache.setdefault("i", ray.get(ref))
+        idx: PointIndex = ref.get()
         lon, lat = ops.point_lonlat(batch, geom_col)
         if metric == "haversine":
             P, _, _ = idx.within_geodesic(lon, lat, radius)
@@ -733,18 +647,16 @@ def knn_join(
     geom_col: str = "geotag",
     res: float | None = None,
     id_out: str = "neighbor_id",
-    concurrency=(2, 8),
-    batch_size=None,
-    num_cpus: float = 1.0,
-    actor_pool: bool = False,
     index: str = "grid",
 ) -> ray.data.Dataset:
     """B6: broadcast kNN join: each probe row fans out to ≤k result rows
-    (neighbor id, squared planar distance, rank). Same stateless-task vs
-    actor-pool tradeoff as ``pip_join``. ``index``: "grid" (uniform
-    cell ring expansion — wins on evenly spread refs) or "str"
-    (STR-packed R-tree radius doubling — wins on wildly mixed-density
-    refs); identical output, parity-pinned."""
+    (neighbor id, squared planar distance, rank) via grid-cell ring
+    expansion (exact under the planar (lon,lat) metric; ring-r stop
+    bound proven in PointIndex.knn). Same broadcast plan as
+    ``pip_join``. ``index``: "grid" (uniform cell ring expansion — wins
+    on evenly spread refs) or "str" (STR-packed R-tree radius doubling —
+    wins on wildly mixed-density refs); identical output,
+    parity-pinned."""
     if index not in ("grid", "str"):
         raise ValueError("knn_join: index must be 'grid' or 'str'")
     if res is None:
@@ -764,32 +676,28 @@ def knn_join(
             np.asarray(ref_lon, np.float64), np.asarray(ref_lat, np.float64),
             ref_ids, res,
         )
-    ref = ray.put(idx)
-    if actor_pool:
-        return probes.map_batches(
-            KNNJoiner,
-            fn_constructor_args=(ref, geom_col, k, id_out, None),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=num_cpus,
-        )
-
-    cache: dict = {}
+    ref = exchange.broadcast(idx)
 
     def knn_fn(batch: pa.Table) -> pa.Table:
-        joiner = cache.get("j")
-        if joiner is None:
-            joiner = KNNJoiner(ref, geom_col, k, id_out, None)
-            cache["j"] = joiner
-        return joiner(batch)
+        refs: PointIndex = ref.get()
+        lon, lat = ops.point_lonlat(batch, geom_col)
+        P, R, D = refs.knn(lon, lat, k)
+        out = batch.take(pa.array(P))
+        ids = refs.ref_ids[R]
+        out = out.append_column(id_out, pa.array(ids.tolist()))
+        out = out.append_column("knn_dist2", pa.array(D, pa.float64()))
+        rank = np.zeros(P.shape[0], dtype=np.int64)
+        if P.shape[0]:
+            # D is sorted within each probe; rank = position within probe
+            new = np.ones(P.shape[0], dtype=bool)
+            new[1:] = P[1:] != P[:-1]
+            starts = np.nonzero(new)[0]
+            rank = np.arange(P.shape[0]) - np.repeat(starts, np.diff(np.append(starts, P.shape[0])))
+        out = out.append_column("knn_rank", pa.array(rank + 1, pa.int64()))
+        return out
 
     return probes.map_batches(
-        knn_fn,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
+        knn_fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
 
 
@@ -1776,7 +1684,7 @@ def nearest_segment_join(
     ``floor(d2 · 2^scale_bits + 0.5)``.
 
     Execution shape 1 (broadcast): the segment table ships once via
-    ``ray.put`` and is probed per batch with a blocked running-min —
+    ``exchange.broadcast`` and is probed per batch with a blocked running-min —
     point slices × segment chunks, each inner block a pure numpy
     broadcast (≤ point_chunk·seg_chunk doubles live at once), so memory
     stays bounded regardless of block size. Chunks walk seg_id
@@ -1802,12 +1710,11 @@ def nearest_segment_join(
     len2 = dxs * dxs + dys * dys
     if np.any(len2 == 0.0):
         raise ValueError("nearest_segment_join: zero-length segment")
-    ref = ray.put((sid, ax, ay, dxs, dys, len2))
-    cache: dict = {}
+    ref = exchange.broadcast((sid, ax, ay, dxs, dys, len2))
     scale = float(1 << scale_bits)
 
     def probe(batch: pa.Table) -> pa.Table:
-        sid, ax, ay, dxs, dys, len2 = cache.setdefault("s", ray.get(ref))
+        sid, ax, ay, dxs, dys, len2 = ref.get()
         px = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
         py = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
         best_seg, best_d2 = _blocked_nearest(
@@ -2041,7 +1948,6 @@ def nearest_geodesic_join(
     rlon = np.asarray(ref_lon, np.float64)[order]
     rlat = np.asarray(ref_lat, np.float64)[order]
     rid = np.asarray(ref_ids, np.int64)[order]
-    cache: dict = {}
     use_index = rid.shape[0] >= brute_cutoff
     if use_index:
         if res is None:
@@ -2052,12 +1958,12 @@ def nearest_geodesic_join(
             # snap so nx·res == 360: kills the seam slack that guts the
             # small-ring longitude bound (see knn_geodesic_partitioned)
             res = 360.0 / max(int(round(360.0 / res)), 1)
-        ref = ray.put(PointIndex.build(rlon, rlat, rid, res))
+        ref = exchange.broadcast(PointIndex.build(rlon, rlat, rid, res))
     else:
-        ref = ray.put((rlon, rlat, rid))
+        ref = exchange.broadcast((rlon, rlat, rid))
 
     def probe_index(batch: pa.Table) -> pa.Table:
-        idx: PointIndex = cache.setdefault("r", ray.get(ref))
+        idx: PointIndex = ref.get()
         px = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
         py = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
         n = px.shape[0]
@@ -2071,7 +1977,7 @@ def nearest_geodesic_join(
         )
 
     def probe(batch: pa.Table) -> pa.Table:
-        rlon, rlat, rid = cache.setdefault("r", ray.get(ref))
+        rlon, rlat, rid = ref.get()
         px = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
         py = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
         n = px.shape[0]
@@ -2140,7 +2046,6 @@ def knn_geodesic_join(
     rid = np.asarray(ref_ids, np.int64)[order]
     if rid.size and (rid.min() < 0 or rid.max() >= 1 << 32):
         raise ValueError("knn_geodesic_join: ref ids must fit uint32 (packed order key)")
-    cache: dict = {}
     big = np.iinfo(np.int64).max
     use_index = rid.shape[0] >= brute_cutoff
     if use_index:
@@ -2152,12 +2057,12 @@ def knn_geodesic_join(
             # snap so nx·res == 360: kills the seam slack that guts the
             # small-ring longitude bound (see knn_geodesic_partitioned)
             res = 360.0 / max(int(round(360.0 / res)), 1)
-        ref = ray.put(PointIndex.build(rlon, rlat, rid, res))
+        ref = exchange.broadcast(PointIndex.build(rlon, rlat, rid, res))
     else:
-        ref = ray.put((rlon, rlat, rid))
+        ref = exchange.broadcast((rlon, rlat, rid))
 
     def probe_index(batch: pa.Table) -> pa.Table:
-        idx: PointIndex = cache.setdefault("r", ray.get(ref))
+        idx: PointIndex = ref.get()
         px = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
         py = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
         P, R, mkm = idx.knn_geodesic(px, py, k)
@@ -2176,7 +2081,7 @@ def knn_geodesic_join(
         )
 
     def probe(batch: pa.Table) -> pa.Table:
-        rlon, rlat, rid = cache.setdefault("r", ray.get(ref))
+        rlon, rlat, rid = ref.get()
         px = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
         py = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
         n = px.shape[0]
@@ -2352,8 +2257,7 @@ def rect_overlap_area(
         idx0 = PolygonIndex.build(
             polygons, geometry_col=geometry_col, id_col=poly_id_col, res=res
         )
-    ref = ray.put(idx0)
-    cache: dict = {}
+    ref = exchange.broadcast(idx0)
     cx0, cy0, cx1, cy1 = rect_cols
 
     def _q(a: np.ndarray) -> np.ndarray:
@@ -2365,7 +2269,7 @@ def rect_overlap_area(
         return np.floor(a * quantize + 0.5).astype(np.int64)
 
     def probe(batch: pa.Table) -> pa.Table:
-        idx = cache.setdefault("i", ray.get(ref))
+        idx = ref.get()
         rxmin = batch[cx0].to_numpy(zero_copy_only=False)
         rymin = batch[cy0].to_numpy(zero_copy_only=False)
         rxmax = batch[cx1].to_numpy(zero_copy_only=False)

@@ -6,7 +6,8 @@ Design rules (SURVEY.md §4, ray_guide):
   zero_copy_batch=True)`` with a vectorized body — no Python row loops;
 - aggregates are per-batch partials + a tiny final merge (the reference's
   push…push→finish kernel protocol);
-- stateful joins are actor pools holding a broadcast index (georay.joins);
+- small join sides are broadcast once and fetched once per worker
+  process (georay.exchange, georay.joins);
 - wide ops (groupby/sort) are pushed onto small pre-aggregated tables
   wherever semantics allow.
 """
@@ -22,7 +23,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from georay import cells, kernels
+from georay import cells, exchange, kernels
 from georay.codecs import native
 from georay.types import GeoType
 
@@ -1115,14 +1116,12 @@ def _radix_select(
             batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
         )
         hist = tree_sum(parts, ["pid", "digit"], {"c": "c"}, int_cols=("c",))
-        h = [t for t in hist.iter_batches(batch_format="pyarrow", batch_size=None)
-             if t.num_rows]
-        if not h:  # only in pass 1: an empty or all-NULL column
+        h = exchange.collect(hist)
+        if not h.num_rows:  # only in pass 1: an empty or all-NULL column
             totals = np.zeros(0, np.int64)
             values = np.zeros((0, ranks(totals).shape[1]),
                               np.int64 if is_int else np.float64)
             return pa.array([], gtype), totals, values
-        h = pa.concat_tables(h)
         c = h["c"].to_numpy()
         if groups is None:
             if int(c.min()) < 0:
@@ -1337,8 +1336,7 @@ def hash_shuffle_rank(
     if len(hist):
         counts[hist["b"].to_numpy()] = hist["c"].to_numpy()
     offsets = np.cumsum(counts) - counts
-    off_ref = ray.put(offsets)
-    cache: dict = {}
+    off_ref = exchange.broadcast(offsets)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         h = _hash(batch)
@@ -1349,7 +1347,7 @@ def hash_shuffle_rank(
         )
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        offs = cache.setdefault("o", ray.get(off_ref))
+        offs = off_ref.get()
         bid = int(group["_bucket"][0].as_py())
         group = group.drop_columns(["_bucket"])
         h = group["_h"].to_numpy(zero_copy_only=False).view(np.uint64)
@@ -1392,21 +1390,17 @@ def focal_sum(
     shuffle. For rasters too fine to broadcast, explode + ``tree_sum``
     by neighbor key is the partitioned twin (same numbers, one shuffle).
     """
-    batches = [
-        b for b in hist.select_columns([cell_col, val_col]).iter_batches(
-            batch_format="pyarrow", batch_size=None)
-    ]
-    tbl = pa.concat_tables(batches) if batches else pa.table(
-        {cell_col: pa.array([], pa.int64()), val_col: pa.array([], pa.int64())}
-    )
+    tbl = exchange.collect(hist.select_columns([cell_col, val_col]))
+    if not tbl.num_rows:
+        tbl = pa.table({cell_col: pa.array([], pa.int64()),
+                        val_col: pa.array([], pa.int64())})
     c = tbl[cell_col].to_numpy(zero_copy_only=False).astype(np.int64)
     v = tbl[val_col].to_numpy(zero_copy_only=False)
     order = np.argsort(c, kind="stable")
-    ref = ray.put((c[order], v[order]))
-    cache: dict = {}
+    ref = exchange.broadcast((c[order], v[order]))
 
     def probe(batch: pa.Table) -> pa.Table:
-        cs, vs = cache.setdefault("m", ray.get(ref))
+        cs, vs = ref.get()
         cells_arr = batch[cell_col].to_numpy(zero_copy_only=False).astype(np.int64)
         nb = cells.grid_disk(cells_arr, k, nx)
         pos = np.searchsorted(cs, nb)
@@ -1974,11 +1968,10 @@ def winsorize(
     bounds = pivot_bounds(
         pa.Table.from_pandas(qtbl.to_pandas(), preserve_index=False)
     )
-    ref = ray.put(bounds)
-    cache: dict = {}
+    ref = exchange.broadcast(bounds)
 
     def clamp(batch: pa.Table) -> pa.Table:
-        b: pa.Table = cache.setdefault("b", ray.get(ref))
+        b: pa.Table = ref.get()
         bk = b[key].to_numpy(zero_copy_only=False)
         lo = b["_lo"].to_numpy(zero_copy_only=False)
         hi = b["_hi"].to_numpy(zero_copy_only=False)
@@ -2013,11 +2006,10 @@ def mad_outliers(
     mdf = med.to_pandas().sort_values(key)
     mk = mdf[key].to_numpy()
     mv = mdf["v"].to_numpy()
-    mref = ray.put((mk, mv))
-    cache: dict = {}
+    mref = exchange.broadcast((mk, mv))
 
     def add_dev(batch: pa.Table) -> pa.Table:
-        bk, bv = cache.setdefault("m", ray.get(mref))
+        bk, bv = mref.get()
         kk = batch[key].to_numpy(zero_copy_only=False)
         x = batch[col].to_numpy(zero_copy_only=False).astype(np.float64)
         dev = np.abs(x - bv[np.searchsorted(bk, kk)])
@@ -2028,11 +2020,10 @@ def mad_outliers(
     )
     mad = grouped_quantiles(devds, key, "_dev", [0.5], interp="disc")
     adf = mad.to_pandas().sort_values(key)
-    aref = ray.put((adf[key].to_numpy(), adf["v"].to_numpy()))
-    cache2: dict = {}
+    aref = exchange.broadcast((adf[key].to_numpy(), adf["v"].to_numpy()))
 
     def flag(batch: pa.Table) -> pa.Table:
-        ak, av = cache2.setdefault("a", ray.get(aref))
+        ak, av = aref.get()
         kk = batch[key].to_numpy(zero_copy_only=False)
         dev = batch["_dev"].to_numpy(zero_copy_only=False)
         out = (dev > k * av[np.searchsorted(ak, kk)]).astype(np.float64)
@@ -2789,13 +2780,11 @@ def heavy_hitters(
         combine, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=COMBINE_TARGET_ROWS, num_cpus=0.5,
     )
-    cand_batches = list(
-        comb.map_batches(
-            combine, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=1 << 40, num_cpus=0.9,
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    )
-    if not cand_batches:  # empty input: no candidates, no hitters
+    cand_tbl = exchange.collect(comb.map_batches(
+        combine, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=1 << 40, num_cpus=0.9,
+    ))
+    if not cand_tbl.num_rows:  # empty input: no candidates, no hitters
         import ray.data as _rd
 
         col_type = ds.schema().base_schema.field(col).type
@@ -2804,14 +2793,12 @@ def heavy_hitters(
                 {col: pa.array([], col_type), count_alias: pa.array([], pa.int64())}
             )
         )
-    cand_tbl = pa.concat_tables(cand_batches)
     cand = cand_tbl[col].combine_chunks() if isinstance(
         cand_tbl[col], pa.ChunkedArray) else cand_tbl[col]
-    ref = ray.put(cand)
-    cache: dict = {}
+    ref = exchange.broadcast(cand)
 
     def recount(batch: pa.Table) -> pa.Table:
-        cset = cache.setdefault("c", ray.get(ref))
+        cset = ref.get()
         arr = batch[col]
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
@@ -2835,17 +2822,15 @@ def heavy_hitters(
             }
         )
 
-    merged = pa.concat_tables(
-        tree_sum(
-            ds.map_batches(
-                recount, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            ),
-            "_code",
-            {"partial_n": "n", "partial_total": "total"},
-            int_cols=("partial_n", "partial_total"),
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    )
+    merged = exchange.collect(tree_sum(
+        ds.map_batches(
+            recount, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=None,
+        ),
+        "_code",
+        {"partial_n": "n", "partial_total": "total"},
+        int_cols=("partial_n", "partial_total"),
+    ))
     n_total = int(pc.sum(merged["total"]).as_py() or 0)
     counts = merged["n"].to_numpy(zero_copy_only=False)
     codes = merged["_code"].to_numpy(zero_copy_only=False)
@@ -2920,16 +2905,12 @@ def approx_quantiles(
         v = batch[col].to_numpy(zero_copy_only=False)
         return pa.table({"v": pa.array(v[:: max(sample_rate, 1)], pa.float64())})
 
-    sample_batches = list(
-        ds.map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    )
-    if not sample_batches:
+    sample = exchange.collect(ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    ))
+    if not sample.num_rows:
         return {float(q): float("nan") for q in qs}
-    v = np.sort(
-        pa.concat_tables(sample_batches)["v"].to_numpy(zero_copy_only=False)
-    )
+    v = np.sort(sample["v"].to_numpy(zero_copy_only=False))
     out = {}
     for q in qs:
         idx = max(int(np.ceil(q * v.shape[0])) - 1, 0)
@@ -3455,7 +3436,7 @@ def semi_join_filter(
     bloom_bits_per_key: int | None = None,
 ) -> ray.data.Dataset:
     """Broadcast semi/anti join: the (small) key set ships once via
-    ``ray.put`` as a sorted array; each batch filters with one
+    ``exchange.broadcast`` as a sorted array; each batch filters with one
     searchsorted — exact.
 
     ``bloom_bits_per_key`` switches the broadcast to a packed Bloom
@@ -3467,11 +3448,10 @@ def semi_join_filter(
             raise ValueError("Bloom filter is semi-only (anti would false-drop)")
         words, m_bits = bloom_build(np.unique(np.asarray(keep_values)),
                                     bloom_bits_per_key)
-        bref = ray.put(words)
-        bcache: dict = {}
+        bref = exchange.broadcast(words)
 
         def bloom_fn(batch: pa.Table) -> pa.Table:
-            w = bcache.setdefault("w", ray.get(bref))
+            w = bref.get()
             k = batch[key].to_numpy(zero_copy_only=False)
             return batch.filter(pa.array(bloom_probe(w, m_bits, k)))
 
@@ -3480,11 +3460,10 @@ def semi_join_filter(
         )
 
     vals = np.unique(np.asarray(keep_values))
-    ref = ray.put(vals)
-    cache: dict = {}
+    ref = exchange.broadcast(vals)
 
     def fn(batch: pa.Table) -> pa.Table:
-        v = cache.setdefault("v", ray.get(ref))
+        v = ref.get()
         k = batch[key].to_numpy(zero_copy_only=False)
         pos = np.searchsorted(v, k)
         pos = np.clip(pos, 0, max(len(v) - 1, 0))
@@ -3645,7 +3624,7 @@ def broadcast_join(
     how: str = "inner",
 ) -> ray.data.Dataset:
     """Map-side equality join against a SMALL dimension table: the dim
-    table is ``ray.put`` once and probed per batch with
+    table is ``exchange.broadcast`` once and probed per batch with
     ``pc.index_in`` (Arrow's C hash lookup) — no shuffle, no per-row
     Python, the big side streams. The 100-TB pattern for attaching
     lookup columns (labels, names, configs) without an all-to-all
@@ -3660,11 +3639,10 @@ def broadcast_join(
     if how not in ("inner", "left"):
         raise ValueError(f"how must be inner|left, got {how!r}")
     dim_cols = [c for c in dim.column_names if c != dkey]
-    ref = ray.put(dim.combine_chunks())
-    cache: dict = {}
+    ref = exchange.broadcast(dim.combine_chunks())
 
     def probe(batch: pa.Table) -> pa.Table:
-        d: pa.Table = cache.setdefault("d", ray.get(ref))
+        d: pa.Table = ref.get()
         keys = d[dkey].combine_chunks() if isinstance(d[dkey], pa.ChunkedArray) else d[dkey]
         pos = pc.index_in(batch[on], value_set=keys)
         if how == "inner":
@@ -3706,7 +3684,7 @@ def join_auto(
     rk = right_on or on
     right = right.materialize()  # count + collect/fallback share one execution
     if how in ("inner", "left") and right.count() <= broadcast_limit:
-        tbl = pa.concat_tables(ray.get(right.to_arrow_refs()))
+        tbl = exchange.collect(right)
         keys = tbl[rk]
         if isinstance(keys, pa.ChunkedArray):
             keys = keys.combine_chunks()
@@ -3918,14 +3896,10 @@ def asof_join_broadcast(
     ranks = np.searchsorted(uniq_ts, rt_s)
     shift = int(np.ceil(np.log2(max(len(uniq_ts), 2))))
     comp = (rk_s << np.int64(shift)) | ranks.astype(np.int64)
-    payload = ray.put((comp, rt_s, rk_s, uniq_ts, shift))
-
-    cache: dict = {}
+    payload = exchange.broadcast((comp, rt_s, rk_s, uniq_ts, shift))
 
     def probe(batch: pa.Table) -> pa.Table:
-        comp_r, rt_sorted, rk_sorted, u_ts, sh = cache.setdefault(
-            "p", ray.get(payload)
-        )
+        comp_r, rt_sorted, rk_sorted, u_ts, sh = payload.get()
         lk = batch[left_key].to_numpy(zero_copy_only=False).astype(np.int64)
         lt = batch[left_ts].cast(pa.int64()).to_numpy(zero_copy_only=False)
 
@@ -4019,14 +3993,10 @@ def asof_interpolate(
     ranks = np.searchsorted(uniq_ts, rt_s)
     shift = int(np.ceil(np.log2(max(len(uniq_ts), 2))))
     comp = (rk_s << np.int64(shift)) | ranks.astype(np.int64)
-    payload = ray.put((comp, rt_s, rk_s, rv_s, uniq_ts, shift))
-
-    cache: dict = {}
+    payload = exchange.broadcast((comp, rt_s, rk_s, rv_s, uniq_ts, shift))
 
     def probe(batch: pa.Table) -> pa.Table:
-        comp_r, rts, rks, rvs, u_ts, sh = cache.setdefault(
-            "p", ray.get(payload)
-        )
+        comp_r, rts, rks, rvs, u_ts, sh = payload.get()
         lk = batch[left_key].to_numpy(zero_copy_only=False).astype(np.int64)
         lt = batch[left_ts].cast(pa.int64()).to_numpy(zero_copy_only=False)
         n = lk.shape[0]
@@ -4223,11 +4193,10 @@ def interval_join_count(
         e_sorted = ends_raw[order]
         max_w = np.int64(max(int((ends_raw - starts_raw).max(initial=0)), 0))
         payload = (s_sorted, max_w, e_sorted)
-    ref = ray.put(payload)
-    cache: dict = {}
+    ref = exchange.broadcast(payload)
 
     def probe(batch: pa.Table) -> pa.Table:
-        s, w, e = cache.setdefault("s", ray.get(ref))
+        s, w, e = ref.get()
         ts = batch[probe_ts].cast(pa.int64()).to_numpy(zero_copy_only=False)
         hi = np.searchsorted(s, ts, side="right")
         lo = np.searchsorted(s, ts - w, side="right")
@@ -5837,7 +5806,7 @@ def semi_join_bloom(
     distinct bloom bit positions (same distributed bit-pair build as
     the layout sidecar — only ≤ ``bits`` position ints ever move);
     (2) the packed ``bits/8``-byte bitmap broadcasts once via
-    ``ray.put`` (128 KiB at 2²⁰ — constant, independent of right's
+    ``exchange.broadcast`` (128 KiB at 2²⁰ — constant, independent of right's
     size); (3) a stateless map drops every left row the bloom rules
     out (no false negatives, so nothing correct is lost); (4) the
     surviving maybes — true matches plus the bloom's false-positive
@@ -5867,20 +5836,18 @@ def semi_join_bloom(
         ),
         "p", {"partial_one": "c"}, int_cols=("partial_one",),
     )
-    pos_batches = list(
-        pos_tbl.iter_batches(batch_format="pyarrow", batch_size=None)
-    )
+    pos_tbl = exchange.collect(pos_tbl)
     pos = (
-        pa.concat_tables(pos_batches)["p"].to_numpy(zero_copy_only=False)
-        if pos_batches else np.empty(0, np.int64)
+        pos_tbl["p"].to_numpy(zero_copy_only=False)
+        if pos_tbl.num_rows else np.empty(0, np.int64)
     )
     bitmap = np.zeros(bits // 8, dtype=np.uint8)
     if pos.shape[0]:
         np.bitwise_or.at(bitmap, pos // 8, (1 << (pos % 8)).astype(np.uint8))
-    ref = ray.put(bitmap)
+    ref = exchange.broadcast(bitmap)
 
     def prefilter(batch: pa.Table) -> pa.Table:
-        bm = ray.get(ref)
+        bm = ref.get()
         x = batch[on].cast(pa.int64()).to_numpy(zero_copy_only=False)
         p = _bloom_positions(x, bits, k)
         hit = ((bm[p // 8] >> (p % 8).astype(np.uint8)) & 1).all(axis=1)
@@ -6724,10 +6691,8 @@ def peak_concurrency(
     per = np.zeros(n_shards, np.int64)
     per[sh] = dd
     bases[1:] = np.cumsum(per)[:-1]
-    import ray as _ray
 
-    base_ref = _ray.put(bases)
-    cache: dict = {}
+    base_ref = exchange.broadcast(bases)
 
     def add_shard(batch: pa.Table) -> pa.Table:
         t = batch[ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -6737,9 +6702,7 @@ def peak_concurrency(
         )
 
     def shard_max(group: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        bs = cache.setdefault("b", _rayw.get(base_ref))
+        bs = base_ref.get()
         t = group[ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
         d = group[delta_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if t.shape[0] == 0:
@@ -6847,11 +6810,10 @@ def pack_sequences(
     for sid, tot in shards:
         base[sid] = acc
         acc += int(tot)
-    base_ref = ray.put(base)
-    cache: dict = {}
+    base_ref = exchange.broadcast(base)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        bases = cache.setdefault("b", ray.get(base_ref))
+        bases = base_ref.get()
         g = group.take(
             pc.sort_indices(group, sort_keys=[(hcol, "ascending"),
                                               (id_col, "ascending")])
@@ -7455,8 +7417,6 @@ def ohlc_bars(
     open/close values at the recorded boundary timestamps (only
     boundary rows emit partials). Bars (key × period) must fit a
     worker — the same bound every combine-tree aggregate here has."""
-    import ray as _ray
-
     per = np.int64(bucket_us)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -7502,7 +7462,7 @@ def ohlc_bars(
             "low": np.minimum, "high": np.maximum, "partial_n": np.add,
         },
     )
-    bt = pa.concat_tables(_ray.get(bars.to_arrow_refs()))
+    bt = exchange.collect(bars)
     bk = bt[key].to_numpy(zero_copy_only=False).astype(np.int64)
     bp = bt["period"].to_numpy(zero_copy_only=False).astype(np.int64)
     bmin = bt["min_ts"].to_numpy(zero_copy_only=False)
@@ -7524,11 +7484,10 @@ def ohlc_bars(
     pack = bk * np.int64(1 << 31) + bp
     o = np.argsort(pack, kind="stable")
     pack_s, bmin_s, bmax_s = pack[o], bmin[o], bmax[o]
-    ref = _ray.put((pack_s, bmin_s, bmax_s))
-    cache: dict = {}
+    ref = exchange.broadcast((pack_s, bmin_s, bmax_s))
 
     def boundary_partial(batch: pa.Table) -> pa.Table:
-        ps, mn, mx = cache.setdefault("m", _ray.get(ref))
+        ps, mn, mx = ref.get()
         k = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
         ts = batch[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
         v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -7564,7 +7523,7 @@ def ohlc_bars(
         {"open": "open", "close": "close"},
         ufunc={"open": np.minimum, "close": np.minimum},
     )
-    oct_ = pa.concat_tables(_ray.get(oc.to_arrow_refs()))
+    oct_ = exchange.collect(oc)
     # align the two small tables on (key, period) — driver-side, o(bars)
     opack = (
         oct_[key].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7633,18 +7592,17 @@ def target_encode(
         parts, [cat_col], {"partial_sum": "s", "partial_n": "n"},
         int_cols=("partial_sum", "partial_n"),
     )
-    et = pa.concat_tables(ray.get(enc.to_arrow_refs()))
+    et = exchange.collect(enc)
     s = et["s"].to_numpy(zero_copy_only=False).astype(np.float64)
     cnt = et["n"].to_numpy(zero_copy_only=False).astype(np.float64)
     prior = float(s.sum()) / float(cnt.sum())
     te = (s + m * prior) / (cnt + m)
     cats = et[cat_col].combine_chunks() if isinstance(
         et[cat_col], pa.ChunkedArray) else et[cat_col]
-    ref = ray.put((cats, te))
-    cache: dict = {}
+    ref = exchange.broadcast((cats, te))
 
     def probe(batch: pa.Table) -> pa.Table:
-        cv, tv = cache.setdefault("m", ray.get(ref))
+        cv, tv = ref.get()
         pos = pc.index_in(batch[cat_col], value_set=cv)
         vals = tv[pos.to_numpy(zero_copy_only=False).astype(np.int64)]
         return batch.append_column(out_col, pa.array(vals, pa.float64()))
@@ -9030,15 +8988,13 @@ def rolling_active_count(
             }
         )
 
-    days_t = pa.concat_tables(
-        ray.get(
-            tree_sum(
-                pairs.map_batches(
-                    day_partial, batch_format="pyarrow",
-                    zero_copy_batch=True, batch_size=None,
-                ),
-                ["day"], {"partial_c": "c"}, int_cols=("partial_c",),
-            ).to_arrow_refs()
+    days_t = exchange.collect(
+        tree_sum(
+            pairs.map_batches(
+                day_partial, batch_format="pyarrow",
+                zero_copy_batch=True, batch_size=None,
+            ),
+            ["day"], {"partial_c": "c"}, int_cols=("partial_c",),
         )
     )
     if days_t.num_rows == 0 or "day" not in days_t.column_names:
@@ -9050,11 +9006,10 @@ def rolling_active_count(
             )
         )
     obs = np.sort(days_t["day"].to_numpy(zero_copy_only=False).astype(np.int64))
-    ref = ray.put(obs)
-    cache: dict = {}
+    ref = exchange.broadcast(obs)
 
     def expand(batch: pa.Table, _w=window) -> pa.Table:
-        ov = cache.setdefault("d", ray.get(ref))
+        ov = ref.get()
         d = batch["day"].to_numpy(zero_copy_only=False).astype(np.int64)
         e = batch["ent"]
         if isinstance(e, pa.ChunkedArray):
@@ -9430,15 +9385,13 @@ def window_distinct_count(
             {"v": u, "partial_c": pa.array(np.ones(len(u), np.int64))}
         )
 
-    vt = pa.concat_tables(
-        ray.get(
-            tree_sum(
-                ds.select_columns([value_col]).map_batches(
-                    vocab_partial, batch_format="pyarrow",
-                    zero_copy_batch=True, batch_size=None,
-                ),
-                ["v"], {"partial_c": "c"}, int_cols=("partial_c",),
-            ).to_arrow_refs()
+    vt = exchange.collect(
+        tree_sum(
+            ds.select_columns([value_col]).map_batches(
+                vocab_partial, batch_format="pyarrow",
+                zero_copy_batch=True, batch_size=None,
+            ),
+            ["v"], {"partial_c": "c"}, int_cols=("partial_c",),
         )
     )
     if vt.num_rows > 64:
@@ -9449,14 +9402,13 @@ def window_distinct_count(
     vocab = vt["v"].combine_chunks() if vt.num_rows else pa.array([], pa.string())
     if isinstance(vocab, pa.ChunkedArray):
         vocab = vocab.combine_chunks()
-    ref = ray.put(vocab)
-    cache: dict = {}
+    ref = exchange.broadcast(vocab)
 
     def emit(g: pa.Table, first: np.ndarray, pos: np.ndarray):
         n = len(g)
         if n == 0:
             return out_col, pa.array(np.empty(0, np.int64))
-        vv = cache.setdefault("v", ray.get(ref))
+        vv = ref.get()
         col = g[value_col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()

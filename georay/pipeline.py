@@ -14,7 +14,7 @@ Scale notes (the 100 TB story):
   finished shards are skipped on rerun (content-addressed partition ids,
   not task ordinals), and their histogram counts are kept per shard so
   a resume never re-reads finished output;
-- the polygon side is broadcast once via ``ray.put`` (georay.joins).
+- the polygon side is broadcast once via ``exchange.broadcast`` (georay.joins).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
 from ray.data._internal.planner.plan_write_op import WRITE_UUID_KWARG_NAME
 from ray.data.block import BlockAccessor
 
-from georay import cells, ops
+from georay import cells, exchange, ops
 from georay.joins import pip_join
 
 MANIFEST = "manifest.json"
@@ -322,7 +322,6 @@ def run_flagship(
     parent_level: int = 6,
     zoom: int = 8,
     resume: bool = True,
-    concurrency=(2, 8),
     bucketed_cells: bool = False,
 ) -> dict:
     """Ingest/encode + spatial join + tiling over the image+caption table.
@@ -357,7 +356,7 @@ def run_flagship(
 
     def transform(ds: rd.Dataset) -> rd.Dataset:
         ds = ops.add_cell_column(ds, level=level, parent_level=parent_level)
-        ds = pip_join(ds, polygons, mode="left", concurrency=concurrency)
+        ds = pip_join(ds, polygons, mode="left")
         ds = ops.add_tile_columns(ds, zoom=zoom)
         if not bucketed_cells:
             return ds
@@ -1588,9 +1587,7 @@ def write_sorted(
             ),
             "rp", {"partial_one": "n"}, int_cols=("partial_one",),
         )
-        rp = pa.concat_tables(
-            pairs.iter_batches(batch_format="pyarrow", batch_size=None)
-        )["rp"].to_numpy(zero_copy_only=False)
+        rp = exchange.collect(pairs)["rp"].to_numpy(zero_copy_only=False)
         bitmaps = {}
         for r in range(n_ranges):
             sel = rp[(rp >= r * bloom_bits) & (rp < (r + 1) * bloom_bits)]

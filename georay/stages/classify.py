@@ -4,7 +4,7 @@ documents and scores the whole corpus with it.
 
 Shape: full-batch logistic regression by gradient descent. Each
 iteration is ONE streaming pass: the current weights broadcast via
-``ray.put``, every batch emits a (d+2)-float partial (gradient sums,
+``exchange.broadcast``, every batch emits a (d+2)-float partial (gradient sums,
 loss, count), a tiny driver-side merge updates the weights. The corpus
 never concentrates anywhere; per-iteration driver state is O(d).
 Deterministic — full-batch gradients have no sample order, so the fit
@@ -20,6 +20,8 @@ import pyarrow as pa
 
 import ray
 import ray.data
+
+from georay import exchange
 
 
 def _features(batch: pa.Table, cols: list[str]) -> np.ndarray:
@@ -94,11 +96,10 @@ def logreg_fit(
     b = 0.0
     losses: list[float] = []
     for _ in range(n_iter):
-        ref = ray.put((w, b, mean, scale))
-        cache: dict = {}
+        ref = exchange.broadcast((w, b, mean, scale))
 
         def grad_partial(batch: pa.Table) -> pa.Table:
-            ww, bb, mu, sc = cache.setdefault("s", ray.get(ref))
+            ww, bb, mu, sc = ref.get()
             x = (_features(batch, feature_cols) - mu) * sc
             y = batch[label_col].to_numpy(zero_copy_only=False).astype(
                 np.float64
@@ -141,14 +142,13 @@ def logreg_predict(
     out: str = "score",
 ) -> ray.data.Dataset:
     """Streaming scorer: appends P(label=1) — the corpus-wide quality
-    score pass. Model broadcast once via ``ray.put``."""
-    ref = ray.put(
+    score pass. Model broadcast once via ``exchange.broadcast``."""
+    ref = exchange.broadcast(
         (model["w"], model["b"], model["mean"], model["scale"])
     )
-    cache: dict = {}
 
     def fn(batch: pa.Table) -> pa.Table:
-        w, b, mu, sc = cache.setdefault("m", ray.get(ref))
+        w, b, mu, sc = ref.get()
         x = (_features(batch, feature_cols) - mu) * sc
         p = 1.0 / (1.0 + np.exp(-(x @ w + b)))
         return batch.append_column(out, pa.array(p, pa.float64()))
@@ -222,11 +222,10 @@ def ridge_predict(
     out_col: str = "pred",
 ) -> ray.data.Dataset:
     """Streaming scoring pass: one matvec per batch (broadcast model)."""
-    ref = ray.put((model["w"], model["b"]))
-    cache: dict = {}
+    ref = exchange.broadcast((model["w"], model["b"]))
 
     def fn(batch: pa.Table) -> pa.Table:
-        w, b = cache.setdefault("m", ray.get(ref))
+        w, b = ref.get()
         x = _features(batch, feature_cols)
         return batch.append_column(out_col, pa.array(x @ w + b, pa.float64()))
 

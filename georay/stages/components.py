@@ -3,7 +3,7 @@
 Min-label propagation with ONE shuffle per round: the current
 (node → label) table — o(number of nodes appearing in edges), for dedup
 workloads the duplicate docs, never the corpus — is broadcast via
-``ray.put``; each round maps over the (large, distributed) edge list
+``exchange.broadcast``; each round maps over the (large, distributed) edge list
 emitting ``(dst, label(src))`` + ``(src, label(src))`` candidates and
 takes the per-node minimum with ``ops.tree_reduce`` (combine tree — no
 sort-shuffle barrier; the label table is the bounded small side). No
@@ -29,6 +29,8 @@ import pyarrow as pa
 
 import ray
 import ray.data
+
+from georay import exchange
 
 
 def connected_components(
@@ -73,9 +75,7 @@ def connected_components(
     # is pure scheduling barrier, not data. Above it, the streaming loop
     # below handles arbritrarily large edge lists unchanged.
     if n_edges <= local_edge_cutoff:
-        t = pa.concat_tables(
-            edges.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
+        t = exchange.collect(edges)
         src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
         dst = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
         nodes = np.unique(np.concatenate([src, dst]))
@@ -105,8 +105,7 @@ def connected_components(
         if nodes is None:
             lab_ref = None
         else:
-            lab_ref = ray.put((nodes, labels))
-        cache: dict = {}
+            lab_ref = exchange.broadcast((nodes, labels))
 
         def emit(batch: pa.Table, _ref=lab_ref) -> pa.Table:
             src = batch["src"].to_numpy(zero_copy_only=False)
@@ -114,7 +113,7 @@ def connected_components(
             if _ref is None:
                 lab_src = src
             else:
-                n_s, l_s = cache.setdefault("m", ray.get(_ref))
+                n_s, l_s = _ref.get()
                 pos = np.searchsorted(n_s, src)
                 lab_src = l_s[np.clip(pos, 0, n_s.size - 1)]
             return pa.table(

@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from georay import exchange
 from georay.stages.text import add_fingerprint, normalize_text
 
 # ------------------------------------------------------------------ exact
@@ -404,7 +405,7 @@ def verify_pairs_distributed(
 
     - ``broadcast`` (default): the deduped pair list — the SMALL side,
       proportional to the near-duplicate count, never the corpus — is
-      collected and ``ray.put`` once; the corpus streams through one
+      collected and ``exchange.broadcast`` once; the corpus streams through one
       map_batches that emits each referenced doc's shingle set keyed by
       pair slot, and one tiny groupby over 2·n_pairs rows computes the
       exact Jaccard. One shuffle of shingle sets of REFERENCED docs only.
@@ -448,11 +449,10 @@ def _verify_pairs_broadcast(
     m_sorted = mention_ids[order]
     uniq_ids, first = np.unique(m_sorted, return_index=True)
     csr_ends = np.append(first[1:], m_sorted.shape[0])
-    ref = ray.put((uniq_ids, first, csr_ends, slots[order], sides[order]))
-    cache: dict = {}
+    ref = exchange.broadcast((uniq_ids, first, csr_ends, slots[order], sides[order]))
 
     def emit_sides(batch: pa.Table) -> pa.Table:
-        uids, starts, ends, slot_arr, side_arr = cache.setdefault("m", ray.get(ref))
+        uids, starts, ends, slot_arr, side_arr = ref.get()
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.searchsorted(uids, ids)
         pos_c = np.clip(pos, 0, max(uids.shape[0] - 1, 0))
@@ -647,7 +647,7 @@ def minhash_dedup(
        harmless), whose edge list is the first execution's output;
     4. assign: the (node → component label) map of the verified-duplicate
        nodes — the broadcast small side, proportional to the number of
-       duplicates, never the corpus — is shipped once via ``ray.put`` and
+       duplicates, never the corpus — is shipped once via ``exchange.broadcast`` and
        joined back to the id column per batch (the second execution).
 
     cluster_id = min doc id in the connected component of verified pairs
@@ -685,11 +685,10 @@ def minhash_dedup(
     labels = connected_components(pairs)
     nodes = labels["node"].to_numpy(zero_copy_only=False)
     labs = labels["label"].to_numpy(zero_copy_only=False)
-    label_ref = ray.put((nodes, labs))
-    cache: dict = {}
+    label_ref = exchange.broadcast((nodes, labs))
 
     def assign(batch: pa.Table) -> pa.Table:
-        n_sorted, l_sorted = cache.setdefault("m", ray.get(label_ref))
+        n_sorted, l_sorted = label_ref.get()
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         cluster = ids.copy()
         if n_sorted.size:

@@ -17,6 +17,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from georay import exchange
+
 
 def _embedding_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
     arr = batch[col]
@@ -48,12 +50,10 @@ def ann_brute_topk(
     set. Ties broken by id ascending — deterministic.
     """
     qn = _normalize(np.asarray(queries, dtype=np.float64))
-    q_ref = ray.put((qn, np.asarray(query_ids)))
-
-    cache: dict = {}
+    q_ref = exchange.broadcast((qn, np.asarray(query_ids)))
 
     def partial(batch: pa.Table) -> pa.Table:
-        q, qids = cache.setdefault("q", ray.get(q_ref))
+        q, qids = q_ref.get()
         m = _normalize(_embedding_matrix(batch, emb_col))
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         sims = m @ q.T  # (n, nq)
@@ -128,7 +128,7 @@ def ivf_ann_topk(
       ``train="distributed"`` to run full-table Lloyd iterations via
       ``kmeans_fit`` (combine-tree partials, corpus never concentrates).
     - BROADCAST: centroids + per-query probe masks ship once via
-      ``ray.put`` with a per-worker cache.
+      ``exchange.broadcast`` (one fetch per worker process).
     - SEARCH: each batch assigns its vectors to centroids with one
       matmul and scores only the vectors landing in a probed cluster;
       ≤ k partial rows per (query, batch) leave the map stage.
@@ -161,11 +161,10 @@ def ivf_ann_topk(
     probe_mask = np.zeros((cent.shape[0], nq), dtype=bool)
     for j in range(nq):
         probe_mask[probe[j], j] = True
-    ref = ray.put((qn, np.asarray(query_ids), cent, probe_mask))
-    cache: dict = {}
+    ref = exchange.broadcast((qn, np.asarray(query_ids), cent, probe_mask))
 
     def partial(batch: pa.Table) -> pa.Table:
-        q, qids, c, pm = cache.setdefault("s", ray.get(ref))
+        q, qids, c, pm = ref.get()
         m = _normalize(_embedding_matrix(batch, emb_col))
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         assign = np.argmax(m @ c.T, axis=1)
@@ -310,7 +309,7 @@ def kmeans_assign(
     id_col: str = "vec_id",
 ) -> ray.data.Dataset:
     """Nearest-center assignment (the k-means E-step) as a streaming
-    stage: centers are ``ray.put`` once; each batch computes DIRECT
+    stage: centers are ``exchange.broadcast`` once; each batch computes DIRECT
     squared Euclidean distances (``(x-c)²`` summed — not the expanded
     dot-product form, so near-duplicate points keep full precision and
     the argmin matches SQL ``list_distance`` ordering) and takes the
@@ -319,11 +318,10 @@ def kmeans_assign(
 
     Output: (id_col, center_id int64)."""
     c64 = np.ascontiguousarray(np.asarray(centers, dtype=np.float64))
-    ref = ray.put(c64)
-    cache: dict = {}
+    ref = exchange.broadcast(c64)
 
     def assign(batch: pa.Table) -> pa.Table:
-        c = cache.setdefault("c", ray.get(ref))
+        c = ref.get()
         x = _embedding_matrix(batch, col)
         # (B, k) direct distances; B·k·d floats per batch is bounded by
         # the block size (k is small by construction)
@@ -380,11 +378,10 @@ def kmeans_fit(
     sum_cols = [f"s{i}" for i in range(d)]
 
     for _ in range(n_iter):
-        ref = ray.put(centers)
-        cache: dict = {}
+        ref = exchange.broadcast(centers)
 
         def partial(batch: pa.Table) -> pa.Table:
-            c = cache.setdefault("c", ray.get(ref))
+            c = ref.get()
             x = _embedding_matrix(batch, col)
             d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
             a = np.argmin(d2, axis=1)
@@ -473,15 +470,14 @@ def pq_encode(
 ) -> ray.data.Dataset:
     """Streaming PQ encoder: adds a ``pq_code`` fixed-size-list<uint8>
     column (m bytes per vector — 16× smaller than 32-dim float32).
-    Codebooks broadcast once via ``ray.put``. With
+    Codebooks broadcast once via ``exchange.broadcast``. With
     ``keep_embedding=False`` the output carries ONLY (id, code): the
     shape a 100-TB index shard stores."""
-    ref = ray.put(books)
-    cache: dict = {}
+    ref = exchange.broadcast(books)
     mm = int(books.shape[0])
 
     def fn(batch: pa.Table) -> pa.Table:
-        b = cache.setdefault("b", ray.get(ref))
+        b = ref.get()
         mat = _normalize(_embedding_matrix(batch, emb_col))
         codes = _pq_codes(mat, b)
         code_arr = pa.FixedSizeListArray.from_arrays(
@@ -537,11 +533,10 @@ def pq_ann_topk(
     # luts[q, s, c] = dot(q_sub_s, book[s][c]);  ADC sim = sum_s lut gather
     luts = np.einsum("qsd,scd->qsc", qn.reshape(nq, mm, sub), books)
     R = int(rerank) if rerank is not None else 4 * k
-    ref = ray.put((qn, np.asarray(query_ids), books, luts))
-    cache: dict = {}
+    ref = exchange.broadcast((qn, np.asarray(query_ids), books, luts))
 
     def partial(batch: pa.Table) -> pa.Table:
-        q, qids, b, lt = cache.setdefault("s", ray.get(ref))
+        q, qids, b, lt = ref.get()
         mat = _normalize(_embedding_matrix(batch, emb_col))
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         codes = _pq_codes(mat, b)  # (n, m)
@@ -660,9 +655,7 @@ def pca_fit(
     table. Returns ``{"mean", "components" (d,k), "explained_variance",
     "scale"}`` in ORIGINAL units. Deterministic: sign fixed so each
     component's largest-|coeff| entry is positive."""
-    tbl = pa.concat_tables(
-        ray.get(gram_quantized(ds, emb_col, scale_bits).to_arrow_refs())
-    )
+    tbl = exchange.collect(gram_quantized(ds, emb_col, scale_bits))
     i = tbl["i"].to_numpy(zero_copy_only=False)
     j = tbl["j"].to_numpy(zero_copy_only=False)
     g = tbl["g"].to_numpy(zero_copy_only=False)
@@ -698,13 +691,12 @@ def pca_project(
     out_col: str = "pc",
 ) -> ray.data.Dataset:
     """Project embeddings onto fitted components: one broadcast of the
-    (d,k) matrix via ``ray.put``, one matmul per batch — stateless,
+    (d,k) matrix via ``exchange.broadcast``, one matmul per batch — stateless,
     shuffle-free, streaming."""
-    ref = ray.put((model["mean"], model["components"]))
-    cache: dict = {}
+    ref = exchange.broadcast((model["mean"], model["components"]))
 
     def fn(batch: pa.Table) -> pa.Table:
-        mean, comps = cache.setdefault("m", ray.get(ref))
+        mean, comps = ref.get()
         x = _embedding_matrix(batch, emb_col)
         p = (x - mean) @ comps
         k = p.shape[1]
@@ -740,11 +732,10 @@ def _ivf_assign_write(
     """Assign each vector to its nearest centroid (argmax dot on the
     normalized matrix — the ONE assignment rule shared by build, append
     and the masking scan) and write partitioned by list id."""
-    ref = ray.put(cent)
-    cache: dict = {}
+    ref = exchange.broadcast(cent)
 
     def assign(batch: pa.Table) -> pa.Table:
-        c = cache.setdefault("c", ray.get(ref))
+        c = ref.get()
         m = _normalize(_embedding_matrix(batch, emb_col))
         if m.shape[1] != c.shape[1]:
             raise ValueError(
@@ -899,11 +890,10 @@ def ivf_search_index(
     import ray.data as rd
 
     ds = rd.read_parquet(files)
-    ref = ray.put((qn, np.asarray(query_ids), probe_mask))
-    cache: dict = {}
+    ref = exchange.broadcast((qn, np.asarray(query_ids), probe_mask))
 
     def partial(batch: pa.Table) -> pa.Table:
-        q, qids, pm = cache.setdefault("s", ray.get(ref))
+        q, qids, pm = ref.get()
         m = _normalize(_embedding_matrix(batch, emb_col))
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         lid = batch["list_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)

@@ -19,6 +19,7 @@ import pyarrow as pa
 
 import ray.data
 
+from georay import exchange
 from georay import images as im
 
 
@@ -483,13 +484,9 @@ def corpus_channel_stats(
         {"partial_s": "s", "partial_s2": "s2", "partial_n": "n"},
         int_cols=("partial_s", "partial_s2", "partial_n"),
     )
+    t = exchange.collect(merged).sort_by("channel")
     if raw:
-        return pa.concat_tables(
-            merged.iter_batches(batch_format="pyarrow", batch_size=None)
-        ).sort_by("channel")
-    t = pa.concat_tables(
-        merged.iter_batches(batch_format="pyarrow", batch_size=None)
-    ).sort_by("channel")
+        return t
     s = t["s"].to_numpy(zero_copy_only=False).astype(np.float64)
     s2 = t["s2"].to_numpy(zero_copy_only=False).astype(np.float64)
     n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)

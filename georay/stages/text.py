@@ -18,6 +18,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from georay import exchange
+
 
 TOKEN_RE = r"\S+"
 
@@ -438,26 +440,22 @@ def doc_top_tfidf(
         batch_format="pyarrow", zero_copy_batch=True,
         batch_size=COMBINE_TARGET_ROWS, num_cpus=0.5,
     )
-    df_tbl = pa.concat_tables(
-        comb.map_batches(
-            lambda b: df_combine(b, "df"),
-            batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=1 << 40, num_cpus=0.9,
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    )
+    df_tbl = exchange.collect(comb.map_batches(
+        lambda b: df_combine(b, "df"),
+        batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=1 << 40, num_cpus=0.9,
+    ))
     # sorted vocab ⇒ index_in codes are lexicographic ranks (tie order)
     order = pc.sort_indices(df_tbl, sort_keys=[("token", "ascending")])
     df_tbl = df_tbl.take(order)
     vocab = df_tbl["token"].combine_chunks() if isinstance(
         df_tbl["token"], pa.ChunkedArray) else df_tbl["token"]
     idf = np.log(float(n_docs) / df_tbl["df"].to_numpy(zero_copy_only=False))
-    import ray as _ray
 
-    bcast = _ray.put((vocab, idf))
-    cache: dict = {}
+    bcast = exchange.broadcast((vocab, idf))
 
     def score(batch: pa.Table) -> pa.Table:
-        vcb, idfv = cache.setdefault("m", _ray.get(bcast))
+        vcb, idfv = bcast.get()
         txt = batch[text_col]
         if isinstance(txt, pa.ChunkedArray):
             txt = txt.combine_chunks()
@@ -920,7 +918,7 @@ def decontaminate(
     Scale shape: eval benchmarks are small by construction (thousands
     of docs, not the 100-TB corpus), so the distinct benchmark n-grams
     are reduced per-batch FIRST (only unique strings leave each task),
-    unioned once on the driver, and broadcast via ``ray.put`` — read
+    unioned once on the driver, and broadcast via ``exchange.broadcast`` — read
     once per worker, not per batch. The corpus side streams: ONE
     ``pc.is_in`` C probe per batch, no shuffle, no join, nothing
     materialized. Output: ``(id_col, n_ngrams, n_hits)`` for every doc
@@ -935,24 +933,18 @@ def decontaminate(
         ng, _, _ = _flat_ngrams(txt, n)
         return pa.table({"ng": pc.unique(ng)})
 
-    batches = [
-        b
-        for b in bench.map_batches(
-            bench_partial,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    ]
-    if batches:
-        vocab = pc.unique(pa.concat_tables(batches)["ng"].combine_chunks())
+    ngrams = exchange.collect(bench.map_batches(
+        bench_partial, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=None,
+    ))
+    if ngrams.num_rows:
+        vocab = pc.unique(ngrams["ng"].combine_chunks())
     else:
         vocab = pa.array([], pa.string())
-    ref = ray.put(vocab)
-    cache: dict = {}
+    ref = exchange.broadcast(vocab)
 
     def probe(batch: pa.Table) -> pa.Table:
-        vs = cache.setdefault("v", ray.get(ref))
+        vs = ref.get()
         txt = batch[text_col]
         if isinstance(txt, pa.ChunkedArray):
             txt = txt.combine_chunks()
@@ -1121,7 +1113,7 @@ def lm_score(
     Plan: (1) bigram counts via per-batch Arrow hash-group partials +
     combine tree (bigram vocabulary merges, the corpus doesn't);
     (2) the (w1,w2)→q table is built on the driver (vectorized) and
-    broadcast once via ``ray.put``; (3) scoring is one ``index_in`` +
+    broadcast once via ``exchange.broadcast``; (3) scoring is one ``index_in`` +
     ``reduceat`` per batch. For an unbounded bigram vocabulary swap
     stage (2-3) for the partitioned equality join on (w1,w2).
 
@@ -1169,15 +1161,12 @@ def lm_score(
         batch_format="pyarrow", zero_copy_batch=True,
         batch_size=1 << 40, num_cpus=0.9,
     )
-    batches = list(parts.iter_batches(batch_format="pyarrow", batch_size=None))
-    if not batches:
-        batches = [
-            pa.table(
-                {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string()),
-                 "c2": pa.array([], pa.int64())}
-            )
-        ]
-    bt = pa.concat_tables(batches)
+    bt = exchange.collect(parts)
+    if not bt.num_rows:
+        bt = pa.table(
+            {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string()),
+             "c2": pa.array([], pa.int64())}
+        )
     # c1(w1) = Σ_w2 c2 (first-position unigram totals)
     g1 = bt.group_by("w1").aggregate([("c2", "sum")])
     w1_arr = bt["w1"].combine_chunks() if isinstance(bt["w1"], pa.ChunkedArray) else bt["w1"]
@@ -1190,13 +1179,11 @@ def lm_score(
     scale = float(1 << scale_bits)
     q = np.floor((c2 / c1v) * scale).astype(np.int64)
     key = pc.binary_join_element_wise(w1_arr, w2_arr, " ")
-    import ray as _ray
 
-    bcast = _ray.put((key, q))
-    cache: dict = {}
+    bcast = exchange.broadcast((key, q))
 
     def score(batch: pa.Table) -> pa.Table:
-        keys, qv = cache.setdefault("m", _ray.get(bcast))
+        keys, qv = bcast.get()
         txt = batch[text_col]
         if isinstance(txt, pa.ChunkedArray):
             txt = txt.combine_chunks()
@@ -1428,7 +1415,7 @@ def pmi_collocations(
         ),
         ["t"], {"partial_c": "c"}, int_cols=("partial_c",),
     )
-    ut = pa.concat_tables(ray.get(uni.to_arrow_refs()))
+    ut = exchange.collect(uni)
     if ut.num_rows == 0 or "t" not in ut.column_names:
         return ray.data.from_arrow(
             pa.table(
@@ -1443,8 +1430,7 @@ def pmi_collocations(
     toks = ut["t"].combine_chunks() if isinstance(ut["t"], pa.ChunkedArray) else ut["t"]
     cnts = ut["c"].to_numpy(zero_copy_only=False).astype(np.int64)
     n_total = int(cnts.sum())
-    ref = ray.put((toks, cnts))
-    cache: dict = {}
+    ref = exchange.broadcast((toks, cnts))
 
     def bg_partial(batch: pa.Table) -> pa.Table:
         txt = batch[text_col]
@@ -1469,7 +1455,7 @@ def pmi_collocations(
     )
 
     def score(batch: pa.Table) -> pa.Table:
-        tv, tc = cache.setdefault("u", ray.get(ref))
+        tv, tc = ref.get()
         cxy = batch["c_xy"].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = cxy >= min_count
         sub = batch.filter(pa.array(keep))
@@ -1547,8 +1533,6 @@ def editdist_join_qgram(
     partitioned double equi-join at billion-row scale.
 
     Returns (id_a, id_b, dist int64), id_a < id_b."""
-    import ray as _ray
-
     from georay.ops import (
         COMBINE_TARGET_ROWS,
         _group_reduce,
@@ -1567,9 +1551,7 @@ def editdist_join_qgram(
     ).materialize()
 
     # broadcast (id → bytes) for the verify stage (documented budget)
-    tbl = pa.concat_tables(
-        _ray.get(base.to_arrow_refs())
-    ).combine_chunks()
+    tbl = exchange.collect(base).combine_chunks()
     ids_np = tbl["id"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(ids_np)
     ids_sorted = ids_np[order]
@@ -1578,7 +1560,7 @@ def editdist_join_qgram(
     strs_sorted = [
         tbl["s"][int(i)].as_py() for i in order
     ]
-    sref = _ray.put((ids_sorted, strs_sorted))
+    sref = exchange.broadcast((ids_sorted, strs_sorted))
     short_len = k * q + q  # count filter vacuous below this length
 
     def grams(batch: pa.Table) -> pa.Table:
@@ -1797,12 +1779,8 @@ def editdist_join_qgram(
         ["a", "b"], {"c": "c"}, int_cols=("c",),
     )
 
-    cache: dict = {}
-
     def verify(batch: pa.Table) -> pa.Table:
-        if "s" not in cache:  # one fetch per worker process
-            cache["s"] = _ray.get(sref)
-        ids_s, strs = cache["s"]
+        ids_s, strs = sref.get()
         a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
         c = batch["c"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-from georay import cells, images, kernels, ops
+from georay import cells, exchange, images, kernels, ops
 from georay.codecs import native, wkb, wkt
 from georay.joins import knn_join, pip_join
 from georay.types import GeoType
@@ -1502,8 +1502,6 @@ def q_dq_audit(sf_dir: str):
       disc_hi           l_discount > 0.08   } one shared streaming
                         pass, two partial counters
     """
-    import ray as _ray
-
     import pyarrow.parquet as _pq
 
     # rules 4+5: ONE pruned lineitem scan, both counters per batch
@@ -1569,13 +1567,10 @@ def q_dq_audit(sf_dir: str):
     ck = _pq.read_table(_t(sf_dir, "customer"), columns=["c_custkey"])[
         "c_custkey"
     ].combine_chunks()
-    ck_ref = _ray.put(ck)
-    cache: dict = {}
+    ck_ref = exchange.broadcast(ck)
 
     def orphan_partial(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        keys = cache.setdefault("k", _rayw.get(ck_ref))
+        keys = ck_ref.get()
         bad = pc.sum(
             pc.invert(pc.is_in(batch["o_custkey"], value_set=keys))
         ).as_py() or 0
@@ -2036,7 +2031,7 @@ GROUP BY token
 def q_dim_join(sf_dir: str):
     """Broadcast dimension join: attach nation/region names to the
     customer stream with map-side ``pc.index_in`` probes (dim tables
-    ``ray.put`` once; no shuffle), then count customers per region name
+    ``exchange.broadcast`` once; no shuffle), then count customers per region name
     via the combine tree."""
     import pyarrow.parquet as pq
 
@@ -2406,9 +2401,7 @@ def q_knn_part_supplier(sf_dir: str):
     ).append_column(geo.field("geotag"), native.build_points(np.column_stack([cx, cy]), geo))
     probes = rd.from_arrow(probe)
     sx, sy, sk = supplier_points(sf_dir)
-    out = knn_join(
-        probes, sx, sy, sk, k=KNN_K, id_out="s_suppkey", concurrency=(1, 4)
-    )
+    out = knn_join(probes, sx, sy, sk, k=KNN_K, id_out="s_suppkey")
     return out.select_columns(["p_partkey", "s_suppkey", "knn_rank"])
 
 
@@ -3077,10 +3070,7 @@ def q_knn_str(sf_dir: str):
     )
     probes = rd.from_arrow(probe)
     sx, sy, sk = supplier_points(sf_dir)
-    out = knn_join(
-        probes, sx, sy, sk, k=KNN_K, id_out="s_suppkey",
-        concurrency=(1, 4), index="str",
-    )
+    out = knn_join(probes, sx, sy, sk, k=KNN_K, id_out="s_suppkey", index="str")
     return out.select_columns(["p_partkey", "s_suppkey", "knn_rank"])
 
 
@@ -3306,7 +3296,7 @@ def q_radius_payload(sf_dir: str):
     {RADIUS_D}°) pair with the supplier's nationkey and the exact
     squared distance as output columns — the join emits real payload
     rows, not just id pairs. Payload arrays ride inside the one
-    broadcast ray.put of the index."""
+    broadcast of the index."""
     import pyarrow.parquet as pq
 
     from georay.joins import radius_join_pairs
@@ -3598,7 +3588,7 @@ GROUP BY cell_parent
 """
 
 # The engine's left PIP join is FIRST-match (one output row per point,
-# PIPJoiner "left" mode), so the flagship per-cell histogram equals the
+# ``pip_join`` "left" mode), so the flagship per-cell histogram equals the
 # plain point histogram; the containment predicate itself is pinned by
 # the pip_box_join oracle.
 SQL_FLAGSHIP = f"""
@@ -3860,7 +3850,7 @@ def q_decontaminate(sf_dir: str):
     doc_id % 20 == 0 stand in for the held-out benchmark; every other
     doc reports its word-trigram count and how many of its trigrams
     appear anywhere in the benchmark. Benchmark trigrams broadcast once
-    via ray.put; the corpus streams with one pc.is_in probe per batch
+    via exchange.broadcast; the corpus streams with one pc.is_in probe per batch
     — no shuffle, no join."""
     from georay.stages import text as text_stage
 
@@ -4535,23 +4525,18 @@ def q_knn_classify(sf_dir: str):
     come from ONE streaming ``pc.is_in`` probe of the label column by
     the nq·k hit set — the corpus itself never shuffles and no label
     array is broadcast; the vote fold is driver-side over ≤ nq·k rows."""
-    import ray as _ray
-
     from georay.stages import embed as embed_stage
 
     ds = rd.read_parquet(_t(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
     q, qids = _ann_queries(sf_dir)
     topk = embed_stage.ann_brute_topk(ds, q, qids, k=KNN_CLS_K)
     hits = topk.select(["query_id", "vec_id"]).to_pandas()
-    hit_ref = _ray.put(np.unique(hits["vec_id"].to_numpy()))
-    cache: dict = {}
+    hit_ref = exchange.broadcast(np.unique(hits["vec_id"].to_numpy()))
 
     lab = rd.read_parquet(_t(sf_dir, "embeddings"), columns=["vec_id", "label"])
 
     def probe(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        hs = cache.setdefault("h", _rayw.get(hit_ref))
+        hs = hit_ref.get()
         return batch.filter(pc.is_in(batch["vec_id"], pa.array(hs)))
 
     pairs = lab.map_batches(
@@ -6442,8 +6427,6 @@ def q_session_overlap(sf_dir: str):
     Sessions stream; the window table is the broadcast side."""
     import pyarrow.parquet as pq
 
-    import ray as _ray
-
     ev = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["user_id", "ts", "event_id"])
     sess = ops.sessionize(ev, key="user_id", ts="ts",
@@ -6451,13 +6434,10 @@ def q_session_overlap(sf_dir: str):
     od = pq.read_table(_t(sf_dir, "orders"), columns=["o_orderdate"])
     s = np.sort(od["o_orderdate"].cast(pa.int64()).to_numpy())
     e = s + 7 * 86400 * 1_000_000  # exclusive ends (sorted too)
-    ref = _ray.put((s, e))
-    cache: dict = {}
+    ref = exchange.broadcast((s, e))
 
     def count(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        ss, ee = cache.setdefault("w", _rayw.get(ref))
+        ss, ee = ref.get()
         a = batch["session_start"].to_numpy(zero_copy_only=False)
         b = batch["session_end"].to_numpy(zero_copy_only=False)
         n = (
@@ -6668,8 +6648,6 @@ def q_dbscan(sf_dir: str):
     same memory budget the broadcast PointIndex already pays. For a
     both-sides-large DBSCAN swap in ``radius_join_count_partitioned``'s
     cell co-shuffle and ``connected_components_partitioned``."""
-    import ray as _ray
-
     from georay.joins import radius_join_pairs
     from georay.stages.components import connected_components
 
@@ -6704,13 +6682,10 @@ def q_dbscan(sf_dir: str):
             ]
         )
     )
-    core_ref = _ray.put(cores)
-    cache: dict = {}
+    core_ref = exchange.broadcast(cores)
 
     def core_edges(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        cs = cache.setdefault("c", _rayw.get(core_ref))
+        cs = core_ref.get()
         a = batch["s_a"].to_numpy(zero_copy_only=False)
         b = batch["s_b"].to_numpy(zero_copy_only=False)
         keep = (a < b) & np.isin(a, cs) & np.isin(b, cs)
@@ -6730,13 +6705,10 @@ def q_dbscan(sf_dir: str):
     label = np.concatenate([label, iso])
     order = np.argsort(node)
     node, label = node[order], label[order]
-    lab_ref = _ray.put((cores, node, label))
-    cache2: dict = {}
+    lab_ref = exchange.broadcast((cores, node, label))
 
     def border_partials(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        cs, cn, cl = cache2.setdefault("c", _rayw.get(lab_ref))
+        cs, cn, cl = lab_ref.get()
         a = batch["s_a"].to_numpy(zero_copy_only=False)
         b = batch["s_b"].to_numpy(zero_copy_only=False)
         keep = ~np.isin(a, cs) & np.isin(b, cs)
@@ -8864,15 +8836,13 @@ def q_geofence(sf_dir: str):
 
     polys = part_box_polygons(sf_dir)
     index = PolygonIndex.build(polys, geometry_col="geometry", id_col="p_partkey")
-    import ray as _ray
 
-    ref = _ray.put(index)
-    cache: dict = {}
+    ref = exchange.broadcast(index)
 
     pts = _event_points(sf_dir)
 
     def flag(batch: pa.Table) -> pa.Table:
-        idx = cache.setdefault("i", _ray.get(ref))
+        idx = ref.get()
         lon = batch["lon"].to_numpy(zero_copy_only=False)
         lat = batch["lat"].to_numpy(zero_copy_only=False)
         pidx, _poly = idx.contains(lon, lat)
@@ -9370,20 +9340,18 @@ def q_tpch_q14(sf_dir: str):
     """TPC-H Q14 promo-revenue ratio, adapted: p_type = 'ECONOMY'
     stands in for LIKE 'PROMO%%' (the synthetic p_type is a single
     word). Shape preserved: month-filtered lineitem stream, part
-    dimension BROADCAST (ray.put once, pc.index_in probe per batch),
+    dimension BROADCAST (exchange.broadcast once, pc.index_in probe per batch),
     conditional quantized sums, one-row ratio from two exact
     integers."""
     import pyarrow.parquet as _pq
 
-    import ray as _ray
     from ray.data.aggregate import Sum
 
     part = _pq.read_table(_t(sf_dir, "part"), columns=["p_partkey", "p_type"])
     pk = part["p_partkey"].to_numpy().astype(np.int64)
     is_promo = pc.equal(part["p_type"], "ECONOMY").to_numpy(zero_copy_only=False)
     order = np.argsort(pk, kind="stable")
-    ref = _ray.put((pk[order], is_promo[order]))
-    cache: dict = {}
+    ref = exchange.broadcast((pk[order], is_promo[order]))
 
     li = rd.read_parquet(
         _t(sf_dir, "lineitem"),
@@ -9391,9 +9359,7 @@ def q_tpch_q14(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        keys, promo = cache.setdefault("p", _rayw.get(ref))
+        keys, promo = ref.get()
         ship = batch["l_shipdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         m = (ship >= _Y96_LO_US) & (ship < _Y96_FEB_US)
         sub = batch.filter(pa.array(m))
@@ -9541,8 +9507,6 @@ def q_tpch_q12(sf_dir: str):
     map-side — one wide op total."""
     import pyarrow.parquet as _pq
 
-    import ray as _ray
-
     orders = _pq.read_table(
         _t(sf_dir, "orders"), columns=["o_orderkey", "o_orderpriority"]
     )
@@ -9550,8 +9514,7 @@ def q_tpch_q12(sf_dir: str):
     pri = orders["o_orderpriority"].to_pylist()
     high = np.array([p in ("1-URGENT", "2-HIGH") for p in pri])
     order = np.argsort(ok, kind="stable")
-    ref = _ray.put((ok[order], high[order]))
-    cache: dict = {}
+    ref = exchange.broadcast((ok[order], high[order]))
 
     li = rd.read_parquet(
         _t(sf_dir, "lineitem"),
@@ -9559,18 +9522,16 @@ def q_tpch_q12(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        keys, hi = cache.setdefault("p", _rayw.get(ref))
+        keys, hi = ref.get()
         ship = batch["l_shipdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         m = (ship >= _Y96_LO_US) & (ship < _Y96_LO_US + 366 * _DAY_US)
         sub = batch.filter(pa.array(m))
         lk = sub["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         h = hi[np.searchsorted(keys, lk)]
         ls = sub["l_linestatus"].to_numpy(zero_copy_only=False)
-        ks, vs = _group_reduce_tpch(
-            ls, {"partial_high": h.astype(np.int64),
-                 "partial_low": (~h).astype(np.int64)}
+        (ks,), vs = ops._group_reduce(
+            [ls], {"partial_high": h.astype(np.int64),
+                   "partial_low": (~h).astype(np.int64)}
         )
         return pa.table(
             {
@@ -9588,19 +9549,6 @@ def q_tpch_q12(sf_dir: str):
         {"partial_high": "high_line_count", "partial_low": "low_line_count"},
         int_cols=("partial_high", "partial_low"),
     )
-
-
-def _group_reduce_tpch(keys, vals: dict):
-    """One-key grouped integer sums (numpy object/str keys ok)."""
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    new = np.ones(sk.shape[0], bool)
-    new[1:] = sk[1:] != sk[:-1]
-    starts = np.nonzero(new)[0]
-    out = {}
-    for name, v in vals.items():
-        out[name] = np.add.reduceat(v[order], starts)
-    return sk[starts], out
 
 
 SQL_TPCH_Q12 = f"""
@@ -9709,7 +9657,6 @@ def q_tpch_q19(sf_dir: str):
     with a one-row combine — no shuffle at all."""
     import pyarrow.parquet as _pq
 
-    import ray as _ray
     from ray.data.aggregate import Sum
 
     part = _pq.read_table(
@@ -9723,10 +9670,9 @@ def q_tpch_q19(sf_dir: str):
         m = np.array([b == bname for b in brand]) & (size >= slo) & (size <= shi)
         bracket[m] = bi
     order = np.argsort(pk, kind="stable")
-    ref = _ray.put((pk[order], bracket[order]))
+    ref = exchange.broadcast((pk[order], bracket[order]))
     qlo = np.array([b[1] for b in _Q19_BRACKETS])
     qhi = np.array([b[2] for b in _Q19_BRACKETS])
-    cache: dict = {}
 
     li = rd.read_parquet(
         _t(sf_dir, "lineitem"),
@@ -9734,9 +9680,7 @@ def q_tpch_q19(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        keys, br = cache.setdefault("p", _rayw.get(ref))
+        keys, br = ref.get()
         lp = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         q = batch["l_quantity"].to_numpy(zero_copy_only=False)
         b = br[np.searchsorted(keys, lp)]
@@ -9952,8 +9896,6 @@ def q_cohort_ltv(sf_dir: str):
     folds driver-side for the cumulative (same bounded-domain
     convention as the grid ops). NULL values contribute nothing (SQL
     SUM-skip)."""
-    import ray as _ray
-
     ev = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["user_id", "ts", "value"])
 
@@ -9977,13 +9919,10 @@ def q_cohort_ltv(sf_dir: str):
     un = fst["user_id"].to_numpy().astype(np.int64)
     uc = fst["c"].to_numpy().astype(np.int64)
     o = np.argsort(un)
-    ref = _ray.put((un[o], uc[o]))
-    cache: dict = {}
+    ref = exchange.broadcast((un[o], uc[o]))
 
     def rev_partial(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        uu, cc = cache.setdefault("f", _rayw.get(ref))
+        uu, cc = ref.get()
         u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         p = (
             batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -10351,8 +10290,6 @@ def q_entity_resolution(sf_dir: str):
     distributed components machinery. The label table is bounded by
     the dup rate (minhash-components convention) and broadcast for the
     final mapping; the corpus itself streams."""
-    import ray as _ray
-
     from georay.stages.components import connected_components
     from georay.stages.dedup import edit_distance_batch
 
@@ -10395,13 +10332,10 @@ def q_entity_resolution(sf_dir: str):
     node = labels["node"].to_numpy(zero_copy_only=False).astype(np.int64)
     lab = labels["label"].to_numpy(zero_copy_only=False).astype(np.int64)
     o = np.argsort(node)
-    ref = _ray.put((node[o], lab[o]))
-    cache: dict = {}
+    ref = exchange.broadcast((node[o], lab[o]))
 
     def assign(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        ns, ls = cache.setdefault("l", _rayw.get(ref))
+        ns, ls = ref.get()
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.searchsorted(ns, ids)
         pos_c = np.minimum(pos, max(ns.shape[0] - 1, 0))
@@ -11385,8 +11319,6 @@ def q_tpch_q17(sf_dir: str):
     evaluates as the EXACT integer cross-multiplication
     5·qty_q·cnt < sum_q (no float division on either engine). One-row
     output: quantized yearly revenue."""
-    import ray as _ray
-
     part = rd.read_parquet(
         _t(sf_dir, "part"), columns=["p_partkey", "p_brand", "p_size"]
     )
@@ -11438,11 +11370,10 @@ def q_tpch_q17(sf_dir: str):
     sk = sk[so]
     ssum = stats["sum_qty_q"].to_numpy().astype(np.int64)[so]
     scnt = stats["cnt"].to_numpy().astype(np.int64)[so]
-    ref = _ray.put((sk, ssum, scnt))
-    cache: dict = {}
+    ref = exchange.broadcast((sk, ssum, scnt))
 
     def small(batch: pa.Table) -> pa.Table:
-        sk, ssum, scnt = cache.setdefault("r", _ray.get(ref))
+        sk, ssum, scnt = ref.get()
         k = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.searchsorted(sk, k)
         q = batch["qty_q"].to_numpy(zero_copy_only=False)
@@ -11507,8 +11438,6 @@ def q_tpch_q21(sf_dir: str):
     when exactly one supplier is late and others exist; per-supplier
     counts then fold in the combine tree with the supplier name
     broadcast-attached."""
-    import ray as _ray
-
     orders = rd.read_parquet(
         _t(sf_dir, "orders"), columns=["o_orderkey", "o_orderstatus"]
     )
@@ -11720,7 +11649,7 @@ def q_tpch_q7(sf_dir: str):
     nationkey, both directions — single nations are too sparse at test
     scales to produce rows), 1996–1997 ship years. Shape preserved
     exactly: supplier→nation and customer→nation are BROADCAST
-    attaches (ray.put once, pc.index_in per batch); the one big-big
+    attaches (exchange.broadcast once, pc.index_in per batch); the one big-big
     edge — lineitem↔orders on orderkey — takes the partitioned bucket
     co-shuffle; revenue quantizes per row and the (supp_nation,
     cust_nation, year) sums fold in the combine tree."""
@@ -12249,8 +12178,6 @@ def q_tpch_q2(sf_dir: str):
     per-part minimum folds in the combine tree (min-ufunc tree_reduce),
     and the correlated ``= min`` filter is a broadcast probe that keeps
     ties."""
-    import ray as _ray
-
     import pyarrow.parquet as _pq
 
     nat = _pq.read_table(_t(sf_dir, "nation"))
@@ -12307,11 +12234,10 @@ def q_tpch_q2(sf_dir: str):
     mk = mins["l_partkey"].to_numpy().astype(np.int64)
     mo = np.argsort(mk)
     mk, mv = mk[mo], mins["min_bal"].to_numpy().astype(np.int64)[mo]
-    ref = _ray.put((mk, mv))
-    cache: dict = {}
+    ref = exchange.broadcast((mk, mv))
 
     def keep_min(batch: pa.Table) -> pa.Table:
-        mk, mv = cache.setdefault("m", _ray.get(ref))
+        mk, mv = ref.get()
         k = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["bal_q"].to_numpy(zero_copy_only=False)
         pos = np.searchsorted(mk, k)
@@ -16644,17 +16570,13 @@ def q_day_overlap(sf_dir: str):
                        zero_copy_batch=True, batch_size=None),
         ["day"], {"partial_n": "n_day"}, int_cols=("partial_n",),
     )
-    import ray as _ray
 
     tot_tbl = pa.Table.from_pandas(totals.to_pandas(), preserve_index=False)
     nd = {int(r["day"]): int(r["n_day"]) for r in tot_tbl.to_pylist()}
-    nd_ref = _ray.put(nd)
-    cache: dict = {}
+    nd_ref = exchange.broadcast(nd)
 
     def finish(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        m = cache.setdefault("m", _ray.get(nd_ref))
+        m = nd_ref.get()
         d = batch["day"].to_numpy(zero_copy_only=False)
         i = batch["n_inter"].to_numpy(zero_copy_only=False)
         uni = np.array(
@@ -17281,8 +17203,6 @@ def q_variogram(sf_dir: str):
     binning is SQL-bit-exact."""
     import pyarrow.parquet as pq
 
-    import ray as _ray
-
     from georay.joins import radius_join_pairs
 
     t = pq.read_table(_t(sf_dir, "part"),
@@ -17307,13 +17227,10 @@ def q_variogram(sf_dir: str):
         neighbor_out="nbr", ref_payload={"zr": zc}, dist_out="d2",
     )
     o = np.argsort(sk)
-    zref = _ray.put((sk[o], zc[o]))
-    cache: dict = {}
+    zref = exchange.broadcast((sk[o], zc[o]))
 
     def partial(batch: pa.Table) -> pa.Table:
-        import ray as _rayw
-
-        ks, zs = cache.setdefault("z", _rayw.get(zref))
+        ks, zs = zref.get()
         pid = batch["p_partkey"].to_numpy(zero_copy_only=False)
         nbr = batch["nbr"].to_numpy(zero_copy_only=False)
         m = pid != nbr

@@ -2124,3 +2124,157 @@ def test_minhash_dedup_fused_edge_inputs(ray_session):
     other = "one two three four five six seven eight nine ten"
     got = _dedup_labels([(1, same), (1, same), (2, other)])
     assert sorted(got) == [(1, 1, False), (1, 1, False), (2, 2, False)]
+
+
+def test_broadcast_fetched_once_per_worker_process(ray_session):
+    """``exchange.broadcast`` fetches once per worker process: Ray Data
+    deserializes a map fn afresh for every task, so a closure-local
+    cache dict starts empty in each of the 8 tasks, while the handle's
+    module-level table keeps the value for the process."""
+    import os
+    from collections import Counter
+
+    import ray
+    import ray.data as rd
+
+    from georay import exchange
+
+    handle = exchange.broadcast(np.arange(10))
+    ref = ray.put(np.arange(10))
+    cache: dict = {}
+
+    def via_handle(batch: pa.Table) -> pa.Table:
+        fetched = handle.ref.binary() not in exchange._fetched
+        assert int(handle.get().sum()) == 45
+        return pa.table({"pid": [os.getpid()], "fetched": [fetched]})
+
+    def via_closure_cache(batch: pa.Table) -> pa.Table:
+        fetched = "v" not in cache
+        assert int(cache.setdefault("v", ray.get(ref)).sum()) == 45
+        return pa.table({"pid": [os.getpid()], "fetched": [fetched]})
+
+    def run(fn):
+        ds = rd.from_items([{"i": i} for i in range(8)], override_num_blocks=8)
+        rows = ds.map_batches(fn, batch_format="pyarrow", batch_size=None).take_all()
+        assert len(rows) == 8
+        return rows
+
+    rows = run(via_handle)
+    per_pid = Counter(r["pid"] for r in rows if r["fetched"])
+    assert per_pid == Counter({pid: 1 for pid in {r["pid"] for r in rows}})
+    assert sum(r["fetched"] for r in run(via_closure_cache)) == 8
+
+
+def test_broadcast_table_is_bounded(ray_session):
+    """More distinct broadcasts than the table's bound, read in one
+    worker, leave at most the bound cached (the most recently read
+    ones), and every read returns its own value."""
+    import ray.data as rd
+
+    from georay import exchange
+
+    n = exchange._MAX_ENTRIES + 3
+    handles = [exchange.broadcast(np.full(4, i)) for i in range(n)]
+
+    def read_all(batch: pa.Table) -> pa.Table:
+        vals = [int(h.get()[0]) for h in handles]
+        cached = [h.ref.binary() in exchange._fetched for h in handles]
+        return pa.table({
+            "size": [len(exchange._fetched)], "vals": [vals], "cached": [cached],
+        })
+
+    (row,) = rd.from_items([{"i": 0}]).map_batches(
+        read_all, batch_format="pyarrow", batch_size=None
+    ).take_all()
+    assert row["size"] <= exchange._MAX_ENTRIES
+    assert list(row["vals"]) == list(range(n))
+    assert list(row["cached"]) == [False] * 3 + [True] * exchange._MAX_ENTRIES
+
+
+def test_pip_join_broadcasts_do_not_go_stale(ray_session):
+    """Two ``pip_join`` calls in one session with different polygon
+    tables each match against their own table, in the same workers."""
+    import ray.data as rd
+
+    from georay import joins
+    from georay.codecs import wkt
+    from georay.types import GeoType
+
+    def boxes(name, x0, x1):
+        g, geo = wkt.decode(pa.array(
+            [f"POLYGON(({x0} -10, {x1} -10, {x1} 10, {x0} 10, {x0} -10))"]
+        ), GeoType.polygon())
+        return pa.table({"polygon_id": [name]}).append_column(geo.field("geometry"), g)
+
+    pts = _pts_tbl(400)
+    lon, _ = ops.point_lonlat(pts, "geotag")
+    for name, x0, x1, want in (("west", -10, 0, lon < 0), ("east", 0, 10, lon > 0)):
+        ds = rd.from_arrow(pts).repartition(8)
+        got = joins.pip_join(ds, boxes(name, x0, x1), mode="inner").to_pandas()
+        assert set(got["polygon_id"]) == {name}
+        assert sorted(got["pt_id"]) == np.nonzero(want)[0].tolist()
+
+
+def test_degree_assortativity_is_three_ray_data_executions(ray_session, monkeypatch):
+    """``exchange.collect`` runs its plan once: ``to_arrow_refs`` ran it
+    a second time for the schema (4 executions at 3,000 edges)."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from georay import analytics
+
+    calls = []
+    orig = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    rng = np.random.default_rng(3)
+    edges = pa.table({
+        "a": pa.array(rng.integers(0, 500, 3000), pa.int64()),
+        "b": pa.array(rng.integers(0, 500, 3000), pa.int64()),
+    })
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    out = analytics.degree_assortativity(rd.from_arrow(edges)).take_all()
+    assert len(calls) == 3
+    assert out[0]["n_pairs"] == 6000
+
+
+def test_broadcast_and_collect_only_in_exchange():
+    """The driver-to-task data movement lives in ``georay/exchange.py``:
+    no other module calls ``ray.put``, ``ray.get`` or
+    ``Dataset.to_arrow_refs``. ``StreamingDedup`` reads its seen-set
+    actors' replies with ``ray.get`` (actor calls, not broadcasts)."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "georay"
+    allowed = {("state.py", "fn"), ("state.py", "n_seen")}
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "exchange.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        ray_names = {"ray"} | {
+            a.asname for n in ast.walk(tree) if isinstance(n, ast.Import)
+            for a in n.names if a.name == "ray" and a.asname
+        }
+
+        def visit(node, fn_name):
+            for child in ast.iter_child_nodes(node):
+                name = fn_name
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = child.name
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                    f = child.func
+                    is_ray = isinstance(f.value, ast.Name) and f.value.id in ray_names
+                    if (f.attr == "to_arrow_refs"
+                            or (is_ray and f.attr in ("put", "get")
+                                and (rel, fn_name) not in allowed)):
+                        bad.append(f"{rel}:{child.lineno} {f.attr}")
+                visit(child, name)
+
+        visit(tree, None)
+    assert not bad, bad

@@ -65,9 +65,9 @@ def test_pip_join_modes(images_dir, polygons_table, ray_session):
     from georay.joins import pip_join
 
     ds = rd.read_parquet(images_dir)
-    inner = pip_join(ds, polygons_table, mode="inner", concurrency=2).take_all()
-    semi = pip_join(ds, polygons_table, mode="semi", concurrency=2).count()
-    anti = pip_join(ds, polygons_table, mode="anti", concurrency=2).count()
+    inner = pip_join(ds, polygons_table, mode="inner").take_all()
+    semi = pip_join(ds, polygons_table, mode="semi").count()
+    anti = pip_join(ds, polygons_table, mode="anti").count()
     assert semi + anti == 3000
 
     # oracle: single-process index probe
@@ -103,7 +103,7 @@ def test_knn_join_matches_bruteforce(images_dir, ray_session):
     ref_ids = np.array([f"ref{i:04d}" for i in range(500)])
 
     ds = rd.read_parquet(images_dir)
-    got = knn_join(ds, ref_lon, ref_lat, ref_ids, k=2, concurrency=2).take_all()
+    got = knn_join(ds, ref_lon, ref_lat, ref_ids, k=2).take_all()
 
     src = pq.read_table(images_dir)
     v = native.view(src["geotag"].combine_chunks())
@@ -129,27 +129,6 @@ def test_knn_join_matches_bruteforce(images_dir, ray_session):
     for img, pairs in exp.items():
         g = sorted(got_by_img[img])
         assert [(x[1], x[2]) for x in g] == pairs, img
-
-
-def test_joins_actor_pool_paths_match_stateless(images_dir, polygons_table, ray_session):
-    import ray.data as rd
-
-    from georay.joins import knn_join, pip_join
-
-    ds = rd.read_parquet(images_dir)
-    a = pip_join(ds, polygons_table, mode="inner", actor_pool=True, concurrency=2).take_all()
-    b = pip_join(ds, polygons_table, mode="inner").take_all()
-    key = lambda r: (r["image_id"], r["polygon_id"])
-    assert sorted(map(key, a)) == sorted(map(key, b))
-
-    rng = np.random.default_rng(9)
-    rl = rng.uniform(-180, 180, 100)
-    rt = rng.uniform(-80, 80, 100)
-    rid = np.arange(100)
-    ka = knn_join(ds, rl, rt, rid, k=1, actor_pool=True, concurrency=2).take_all()
-    kb = knn_join(ds, rl, rt, rid, k=1).take_all()
-    key2 = lambda r: (r["image_id"], r["neighbor_id"])
-    assert sorted(map(key2, ka)) == sorted(map(key2, kb))
 
 
 def test_pip_join_partitioned_matches_broadcast(images_dir, polygons_table, ray_session):

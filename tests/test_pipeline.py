@@ -25,7 +25,7 @@ def polygons():
 
 def test_flagship_runs_and_writes_manifest(images_dir, polygons, tmp_path, ray_session):
     out = str(tmp_path / "out")
-    summary = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    summary = pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     assert summary["rows"] == 2000
     assert summary["shards_processed_this_run"] == 4
     manifest = pipeline.load_manifest(out)
@@ -44,7 +44,7 @@ def test_flagship_resume_skips_done_and_reproduces(
     images_dir, polygons, tmp_path, ray_session
 ):
     out = str(tmp_path / "out2")
-    s1 = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    s1 = pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     m1 = pipeline.load_manifest(out)
 
     # simulate a failed shard: drop one manifest entry + its output dir
@@ -53,7 +53,7 @@ def test_flagship_resume_skips_done_and_reproduces(
     pipeline.save_manifest(out, m1)
     shutil.rmtree(os.path.join(out, "assign", f"shard={victim}"))
 
-    s2 = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    s2 = pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     assert s2["shards_processed_this_run"] == 1
     m2 = pipeline.load_manifest(out)
     assert len(m2) == 4
@@ -67,8 +67,8 @@ def test_flagship_resume_skips_done_and_reproduces(
 
 def test_flagship_idempotent_when_done(images_dir, polygons, tmp_path, ray_session):
     out = str(tmp_path / "out3")
-    pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
-    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    pipeline.run_flagship(images_dir, out, polygons, zoom=5)
+    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     assert s["shards_processed_this_run"] == 0
     assert s["rows"] == 2000
 
@@ -109,7 +109,7 @@ def test_flagship_histograms_and_checksums_match_written_output(
     a recount over what is on disk after a fresh run, a resume that
     redoes one shard, and an idempotent rerun."""
     out = str(tmp_path / "pin")
-    pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     _assert_outputs_match_assign(out)
 
     m = pipeline.load_manifest(out)
@@ -117,11 +117,11 @@ def test_flagship_histograms_and_checksums_match_written_output(
     del m[victim]
     pipeline.save_manifest(out, m)
     shutil.rmtree(os.path.join(out, "assign", f"shard={victim}"))
-    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     assert s["shards_processed_this_run"] == 1
     _assert_outputs_match_assign(out)
 
-    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     assert s["shards_processed_this_run"] == 0
     _assert_outputs_match_assign(out)
 
@@ -130,11 +130,11 @@ def test_flagship_redoes_shard_with_missing_sidecar(images_dir, polygons, tmp_pa
     """A manifest shard whose histogram sidecar is gone is rewritten, not
     silently left out of the histograms."""
     out = str(tmp_path / "nosidecar")
-    pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     victim = sorted(pipeline.load_manifest(out))[0]
     sidecar = os.path.join(out, pipeline.HIST_DIR, f"{victim}.parquet")
     os.remove(sidecar)
-    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5, concurrency=2)
+    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     assert s["shards_processed_this_run"] == 1
     assert s["rows"] == 2000
     assert os.path.exists(sidecar)
@@ -196,7 +196,7 @@ def test_flagship_is_one_ray_data_execution(
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
     out = str(tmp_path / "once")
-    kw = dict(zoom=5, concurrency=2, bucketed_cells=bucketed)
+    kw = dict(zoom=5, bucketed_cells=bucketed)
     pipeline.run_flagship(images_dir, out, polygons, **kw)
     assert len(calls) == 1
     pipeline.run_flagship(images_dir, out, polygons, **kw)
@@ -374,9 +374,9 @@ def test_flagship_bucketed_cells_identical_output(images_dir, polygons, ray_sess
 
     a_dir = str(tmp_path / "flat")
     b_dir = str(tmp_path / "bucketed")
-    sa = pipeline.run_flagship(images_dir, a_dir, polygons, zoom=6, concurrency=2)
+    sa = pipeline.run_flagship(images_dir, a_dir, polygons, zoom=6)
     sb = pipeline.run_flagship(
-        images_dir, b_dir, polygons, zoom=6, concurrency=2,
+        images_dir, b_dir, polygons, zoom=6,
         bucketed_cells=True,
     )
     assert sa["rows"] == sb["rows"] and sa["tiles"] == sb["tiles"]
