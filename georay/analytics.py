@@ -9,7 +9,7 @@ bit-for-bit.
 
 Scale notes per operator live on their docstrings; the common pattern:
 per-user / per-node state never leaves its hash bucket, so each operator
-is one `groupby(bucket).map_groups` over vectorized sort+reduceat work,
+is one `exchange.co_shuffle` over vectorized sort+reduceat work,
 not per-entity Python.
 """
 
@@ -23,30 +23,11 @@ import ray
 import ray.data
 
 from georay import exchange
+from georay.exchange import co_shuffle
 from georay.index import _ragged_ranges
-from georay.ops import (
-    _group_reduce,
-    _key_hash,
-    shuffle_coalesce,
-    tree_sum,
-)
+from georay.ops import _group_reduce, tree_sum
 
 INT64_MAX = np.iinfo(np.int64).max
-
-
-def _bucketed(ds: ray.data.Dataset, keys: list[str], n_buckets: int):
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, keys)
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
-    return shuffle_coalesce(
-        ds.map_batches(
-            add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-    ).groupby("_bucket")
 
 
 def _group_starts(*key_arrs: np.ndarray, group_keys: int | None = None):
@@ -116,9 +97,7 @@ def funnel(
             }
         )
 
-    parts = _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    parts = co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
     merged = tree_sum(
         parts, ["step"], {"partial_n": "n_users"}, int_cols=("partial_n",)
     )
@@ -197,9 +176,7 @@ def cohort_retention(
             }
         )
 
-    parts = _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    parts = co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
     return tree_sum(
         parts, ["cohort", "offset"], {"partial_n": "n_users"},
         int_cols=("partial_n",),
@@ -293,9 +270,7 @@ def cooccurrence_edges(
             }
         )
 
-    pairs = _bucketed(proj, [group_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    pairs = co_shuffle(proj, group_col, per_bucket, n_buckets=n_buckets, coalesce=True)
     counted = tree_sum(
         pairs, ["a", "b"], {"partial_n": "support"}, int_cols=("partial_n",),
         final=final,
@@ -368,9 +343,7 @@ def item_similarity_topk(
         )
 
     occ = tree_sum(
-        _bucketed(proj, [group_col], n_buckets).map_groups(
-            occ_bucket, batch_format="pyarrow"
-        ),
+        co_shuffle(proj, group_col, occ_bucket, n_buckets=n_buckets, coalesce=True),
         ["item"], {"partial_n": "n_g"}, int_cols=("partial_n",),
     ).to_pandas()
     if "item" not in occ.columns:  # empty input (Ray 2.49 schema loss)
@@ -651,9 +624,7 @@ def triangle_count(
             }
         )
 
-    wedges = _bucketed(oriented, ["src"], n_buckets).map_groups(
-        wedges_per_bucket, batch_format="pyarrow"
-    )
+    wedges = co_shuffle(oriented, "src", wedges_per_bucket, n_buckets=n_buckets, coalesce=True)
 
     def tag(which: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -694,8 +665,8 @@ def triangle_count(
             total = int(((cnts - sums) * sums).sum())
         return pa.table({"partial_n": pa.array([total], pa.int64())})
 
-    parts = _bucketed(unioned, ["src", "dst"], n_buckets).map_groups(
-        count_matches, batch_format="pyarrow"
+    parts = co_shuffle(
+        unioned, ["src", "dst"], count_matches, n_buckets=n_buckets, coalesce=True
     )
 
     def merge(batch: pa.Table) -> pa.Table:
@@ -900,8 +871,8 @@ def label_propagation_partitioned(
             {"node": pa.array(s, pa.int64()), "label": pa.array(s, pa.int64())}
         )
 
-    labels = _bucketed(sym, ["s"], n_buckets).map_groups(
-        distinct_nodes, batch_format="pyarrow"
+    labels = co_shuffle(
+        sym, "s", distinct_nodes, n_buckets=n_buckets, coalesce=True
     ).materialize()
 
     def count_partial(batch: pa.Table) -> pa.Table:
@@ -937,8 +908,8 @@ def label_propagation_partitioned(
             count_partial, batch_format="pyarrow", zero_copy_batch=True,
             batch_size=None,
         )
-        labels = _bucketed(partials, ["node"], n_buckets).map_groups(
-            merge_pick, batch_format="pyarrow"
+        labels = co_shuffle(
+            partials, "node", merge_pick, n_buckets=n_buckets, coalesce=True
         ).materialize()
     return labels
 
@@ -1487,9 +1458,7 @@ def rectangle_count(
             }
         )
 
-    wedges = _bucketed(adj, ["mid"], n_buckets).map_groups(
-        per_mid_wedges, batch_format="pyarrow"
-    )
+    wedges = co_shuffle(adj, "mid", per_mid_wedges, n_buckets=n_buckets, coalesce=True)
     t_tbl = tree_sum(wedges, ["u", "w"], {"partial_t": "t"},
                      int_cols=("partial_t",))
 
@@ -1645,9 +1614,7 @@ def line_density(
             }
         )
 
-    parts = _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    parts = co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
     return tree_sum(parts, ["gx", "gy"], {"partial_n": "n_legs"},
                     int_cols=("partial_n",))
 
@@ -1726,9 +1693,7 @@ def trajectory_stats(
             }
         )
 
-    return _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def hausdorff_pairs(
@@ -1816,9 +1781,7 @@ def hausdorff_pairs(
             }
         )
 
-    packed = _bucketed(proj, [user_col], n_buckets).map_groups(
-        pack, batch_format="pyarrow"
-    )
+    packed = co_shuffle(proj, user_col, pack, n_buckets=n_buckets, coalesce=True)
 
     nchunk = max(1, int(n_chunks))
 
@@ -1931,8 +1894,9 @@ def hausdorff_pairs(
 
     from georay.ops import tree_reduce
 
-    directed = _bucketed(fanned, ["grp", "chunk"], n_buckets).map_groups(
-        directed_chunk, batch_format="pyarrow"
+    directed = co_shuffle(
+        fanned, ["grp", "chunk"], directed_chunk, n_buckets=n_buckets,
+        coalesce=True,
     )
     merged = tree_reduce(
         directed, ["user_a", "user_b"], {"partial_h": "h2"},
@@ -2046,9 +2010,7 @@ def trajectory_clip_rect(
             }
         )
 
-    return _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def zone_dwell_time(
@@ -2139,9 +2101,7 @@ def zone_dwell_time(
             }
         )
 
-    return _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def trajectory_clip_stats(
@@ -2227,9 +2187,7 @@ def trajectory_clip_stats(
             }
         )
 
-    return _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def trajectory_midpoint(
@@ -2324,9 +2282,7 @@ def trajectory_midpoint(
             }
         )
 
-    return _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def lttb_downsample(
@@ -2401,9 +2357,7 @@ def lttb_downsample(
         sel = np.concatenate(picks) if picks else np.empty(0, np.int64)
         return group.take(pa.array(order[sel]))
 
-    return _bucketed(proj, [key_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, key_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def movement_rose(
@@ -2486,9 +2440,7 @@ def movement_rose(
             }
         )
 
-    return _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def _agg_pairs(a: np.ndarray, b: np.ndarray):
@@ -2583,9 +2535,7 @@ def simplify_tracks(
             keep[s:e] = _dp_keep(lon[s:e], lat[s:e], eps2)
         return group.take(pa.array(order[keep]))
 
-    return _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def od_matrix(
@@ -2640,9 +2590,7 @@ def od_matrix(
             }
         )
 
-    parts = _bucketed(proj, [user_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    parts = co_shuffle(proj, user_col, per_bucket, n_buckets=n_buckets, coalesce=True)
     return tree_sum(
         parts, ["cell_from", "cell_to"], {"partial_n": "n"},
         int_cols=("partial_n",),
@@ -2751,9 +2699,7 @@ def grouped_convex_hull(
             }
         )
 
-    return _bucketed(proj, [key_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, key_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 def grouped_hull_stats(
     ds: ray.data.Dataset,
@@ -2832,9 +2778,7 @@ def grouped_hull_stats(
             }
         )
 
-    return _bucketed(proj, [key_col], n_buckets).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(proj, key_col, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 def _attach_lookup(
     ds: ray.data.Dataset,
@@ -2882,13 +2826,11 @@ def _attach_lookup(
         out["v"] = batch[lk_val].cast(pa.int64())
         return pa.table(out)
 
-    both = ds.map_batches(
-        tag_main, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).union(
-        lk_ds.map_batches(
-            tag_lk, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
-    )
+    sides = [
+        d.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True,
+                      batch_size=None)
+        for d, tag in ((ds, tag_main), (lk_ds, tag_lk))
+    ]
 
     def attach(group: pa.Table) -> pa.Table:
         kind = group["kind"].to_numpy(zero_copy_only=False)
@@ -2921,7 +2863,7 @@ def _attach_lookup(
         )
         return pa.table(out)
 
-    return both.groupby("_b").map_groups(attach, batch_format="pyarrow")
+    return co_shuffle(sides, "_b", attach, coalesce=False)
 
 def degree_table_partitioned(
     edges: ray.data.Dataset, n_buckets: int = 64
@@ -2961,13 +2903,12 @@ def degree_table_partitioned(
             }
         )
 
-    return (
+    return co_shuffle(
         edges.map_batches(
             endpoint_counts, batch_format="pyarrow", zero_copy_batch=True,
             batch_size=None,
-        )
-        .groupby("_b")
-        .map_groups(sum_per_node, batch_format="pyarrow")
+        ),
+        "_b", sum_per_node, coalesce=False,
     )
 
 
@@ -3093,14 +3034,8 @@ def pagerank_partitioned(
             tag_state, batch_format="pyarrow", zero_copy_batch=True,
             batch_size=None,
         )
-        state = (
-            tagged.union(ed_tagged)
-            .groupby("_b")
-            .map_groups(scatter, batch_format="pyarrow")
-            .groupby("_b")
-            .map_groups(gather, batch_format="pyarrow")
-            .materialize()
-        )
+        scattered = co_shuffle([tagged, ed_tagged], "_b", scatter, coalesce=False)
+        state = co_shuffle(scattered, "_b", gather, coalesce=False).materialize()
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table({"node": batch["node"], "rank_q": batch["rank"]})
@@ -3240,27 +3175,19 @@ def bfs_hops_partitioned(
             }
         )
 
-    labels = (
-        sym.map_batches(
-            seed0, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
-        .map_batches(
-            lambda b: b.append_column(
-                "_b",
-                pa.array(
-                    _bucket(b["node"].to_numpy(zero_copy_only=False).astype(np.int64)),
-                    pa.int64(),
-                ),
+    seeds = sym.map_batches(
+        seed0, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    ).map_batches(
+        lambda b: b.append_column(
+            "_b",
+            pa.array(
+                _bucket(b["node"].to_numpy(zero_copy_only=False).astype(np.int64)),
+                pa.int64(),
             ),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-        )
-        .groupby("_b")
-        .map_groups(
-            lambda g: _dedup_label_rows(g.drop_columns(["_b"])),
-            batch_format="pyarrow",
-        )
-        .materialize()
+        ),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
     )
+    labels = co_shuffle(seeds, "_b", _dedup_label_rows, coalesce=False).materialize()
     from ray.data.aggregate import Sum
 
     n_fresh = labels.aggregate(Sum("fresh", alias_name="f"))["f"] or 0
@@ -3295,15 +3222,11 @@ def bfs_hops_partitioned(
     for h in range(1, max_hops + 1):
         if not n_fresh:
             break
-        cand = (
-            labels.map_batches(
-                tag_frontier, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-            .union(sym)
-            .groupby("_b")
-            .map_groups(expand, batch_format="pyarrow")
+        frontier = labels.map_batches(
+            tag_frontier, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=None,
         )
+        cand = co_shuffle([frontier, sym], "_b", expand, coalesce=False)
 
         def tag_cand(batch: pa.Table, _h=h) -> pa.Table:
             node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3327,24 +3250,12 @@ def bfs_hops_partitioned(
                 }
             )
 
-        labels = (
-            cand.map_batches(
-                tag_cand, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-            .union(
-                labels.map_batches(
-                    tag_lab, batch_format="pyarrow", zero_copy_batch=True,
-                    batch_size=None,
-                )
-            )
-            .groupby("_b")
-            .map_groups(
-                lambda g: _dedup_label_rows(g.drop_columns(["_b"])),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
+        sides = [
+            d.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=None)
+            for d, tag in ((cand, tag_cand), (labels, tag_lab))
+        ]
+        labels = co_shuffle(sides, "_b", _dedup_label_rows, coalesce=False).materialize()
         n_fresh = labels.aggregate(Sum("fresh", alias_name="f"))["f"] or 0
 
     return labels.map_batches(
@@ -3569,14 +3480,6 @@ def leg_crossings(
     e = np.asarray(edges_q, np.int64)
     ex1, ey1, ex2, ey2 = e[:, 0], e[:, 1], e[:, 2], e[:, 3]
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _ops._key_hash(batch, [key])
-        if h is None:
-            raise TypeError("leg_crossings requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     _empty = pa.table(
         {key: pa.array([], pa.int64()), "n_crossings": pa.array([], pa.int64())}
     )
@@ -3625,16 +3528,7 @@ def leg_crossings(
             }
         )
 
-    return (
-        _ops.shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def path_self_intersections(
@@ -3667,14 +3561,6 @@ def path_self_intersections(
 
     order_list = [order_cols] if isinstance(order_cols, str) else list(order_cols)
     proj = ds.select_columns([key, *order_list, x_col, y_col])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _ops._key_hash(batch, [key])
-        if h is None:
-            raise TypeError("path_self_intersections requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     _empty = pa.table(
         {key: pa.array([], pa.int64()),
@@ -3736,16 +3622,7 @@ def path_self_intersections(
             }
         )
 
-    return (
-        _ops.shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def kcore_peel(
@@ -3843,9 +3720,7 @@ def kcore_peel(
                 batch_size=None,
             )
             votes = _tree_sum(
-                _bucketed(adj, ["node"], n_buckets).map_groups(
-                    vote, batch_format="pyarrow"
-                ),
+                co_shuffle(adj, "node", vote, n_buckets=n_buckets, coalesce=True),
                 ["a", "b"], {"partial_v": "v"}, int_cols=("partial_v",),
             ).materialize()
             if votes.count() == 0:
@@ -4112,13 +3987,12 @@ def edge_jaccard(
             }
         )
 
-    rows = (
+    rows = co_shuffle(
         edges.map_batches(
             msgs, batch_format="pyarrow", zero_copy_batch=True,
             batch_size=None,
-        )
-        .groupby("_b")
-        .map_groups(join_nbrs, batch_format="pyarrow")
+        ),
+        "_b", join_nbrs, coalesce=False,
     )
 
     def pair_bucket(batch: pa.Table) -> pa.Table:
@@ -4179,13 +4053,12 @@ def edge_jaccard(
             cols["ra_q"] = pa.array(ra, pa.int64())
         return pa.table(cols)
 
-    return (
+    return co_shuffle(
         rows.map_batches(
             pair_bucket, batch_format="pyarrow", zero_copy_batch=True,
             batch_size=None,
-        )
-        .groupby("_pb")
-        .map_groups(fold, batch_format="pyarrow")
+        ),
+        "_pb", fold, coalesce=False,
     )
 
 
@@ -4328,14 +4201,6 @@ def event_sequences(
 
     proj = ds.select_columns([key] + order_cols + [type_col])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _ops._key_hash(batch, [key])
-        if h is None:
-            raise TypeError("event_sequences requires int/string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def per_bucket(group: pa.Table) -> pa.Table:
         sort_keys = [(key, "ascending")] + [
             (c, "ascending") for c in order_cols
@@ -4378,16 +4243,7 @@ def event_sequences(
         gg = t.group_by("seq").aggregate([("partial_n", "sum")])
         return pa.table({"seq": gg["seq"], "partial_n": gg["partial_n_sum"]})
 
-    parts = (
-        _ops.shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    parts = co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
     hist = _ops.tree_sum(
         parts, ["seq"], {"partial_n": "n"}, int_cols=("partial_n",)
     )
@@ -4479,9 +4335,7 @@ def frequent_triples(
         )
 
     counted = tree_sum(
-        _bucketed(proj, [group_col], n_buckets).map_groups(
-            per_bucket, batch_format="pyarrow"
-        ),
+        co_shuffle(proj, group_col, per_bucket, n_buckets=n_buckets, coalesce=True),
         ["a", "b", "c"], {"partial_n": "support"}, int_cols=("partial_n",),
     )
     if min_support > 1:
@@ -4568,9 +4422,7 @@ def market_basket(
         )
 
     counted = tree_sum(
-        _bucketed(proj, [group_col], n_buckets).map_groups(
-            per_bucket, batch_format="pyarrow"
-        ),
+        co_shuffle(proj, group_col, per_bucket, n_buckets=n_buckets, coalesce=True),
         ["a", "b"], {"partial_n": "cnt"}, int_cols=("partial_n",),
     )
 
@@ -4907,22 +4759,14 @@ def sssp_partitioned(
         node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         return batch.append_column("_b", pa.array(_bucket(node), pa.int64()))
 
-    labels = (
-        sym.map_batches(
-            seed0, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        .map_batches(
-            add_node_bucket, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        .groupby("_b")
-        .map_groups(
-            lambda g: _min_label_rows(g.drop_columns(["_b"])),
-            batch_format="pyarrow",
-        )
-        .materialize()
+    seeds = sym.map_batches(
+        seed0, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=None,
+    ).map_batches(
+        add_node_bucket, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=None,
     )
+    labels = co_shuffle(seeds, "_b", _min_label_rows, coalesce=False).materialize()
     from ray.data.aggregate import Sum
 
     n_fresh = labels.aggregate(Sum("fresh", alias_name="f"))["f"] or 0
@@ -4971,15 +4815,11 @@ def sssp_partitioned(
     for _ in range(rounds):
         if not n_fresh:
             break
-        cand = (
-            labels.map_batches(
-                tag_frontier, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-            .union(sym)
-            .groupby("_b")
-            .map_groups(relax, batch_format="pyarrow")
+        frontier = labels.map_batches(
+            tag_frontier, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=None,
         )
+        cand = co_shuffle([frontier, sym], "_b", relax, coalesce=False)
 
         def tag_cand(batch: pa.Table) -> pa.Table:
             node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -5003,24 +4843,12 @@ def sssp_partitioned(
                 }
             )
 
-        labels = (
-            cand.map_batches(
-                tag_cand, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-            .union(
-                labels.map_batches(
-                    tag_lab, batch_format="pyarrow", zero_copy_batch=True,
-                    batch_size=None,
-                )
-            )
-            .groupby("_b")
-            .map_groups(
-                lambda g: _min_label_rows(g.drop_columns(["_b"])),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
+        sides = [
+            d.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=None)
+            for d, tag in ((cand, tag_cand), (labels, tag_lab))
+        ]
+        labels = co_shuffle(sides, "_b", _min_label_rows, coalesce=False).materialize()
         n_fresh = labels.aggregate(Sum("fresh", alias_name="f"))["f"] or 0
 
     return labels.map_batches(

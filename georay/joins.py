@@ -19,6 +19,7 @@ import ray
 import ray.data
 
 from georay import exchange, ops
+from georay.exchange import co_shuffle
 from georay.index import PointIndex, PolygonIndex
 
 
@@ -340,7 +341,6 @@ def pip_join_partitioned(
     polys_keyed = polygons.map_batches(
         key_polygons, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    both = pts_keyed.union(polys_keyed)
 
     def join_bucket(group: pa.Table) -> pa.Table:
         side = group["side"].to_numpy(zero_copy_only=False)
@@ -388,7 +388,7 @@ def pip_join_partitioned(
             out["pval"] = pts["pval"].take(pa.array(pidx))
         return pa.table(out)
 
-    return both.groupby("cell").map_groups(join_bucket, batch_format="pyarrow")
+    return co_shuffle([pts_keyed, polys_keyed], "cell", join_bucket, coalesce=False)
 
 
 def rect_intersect_count(
@@ -1123,18 +1123,16 @@ def _ring_knn(
 
     def merge(cand: ray.data.Dataset, finish) -> ray.data.Dataset:
         """Combine tree + pid-bucket merge of candidate/state rows."""
-        return (
+        return co_shuffle(
             cand.map_batches(
                 lambda b: _topk_reduce(b, k),
                 batch_format="pyarrow", zero_copy_batch=True,
                 batch_size=ops.COMBINE_TARGET_ROWS, num_cpus=0.5,
-            )
-            .map_batches(
+            ).map_batches(
                 add_pb, batch_format="pyarrow", zero_copy_batch=True,
                 batch_size=None,
-            )
-            .groupby("_pb")
-            .map_groups(finish, batch_format="pyarrow")
+            ),
+            "_pb", finish, coalesce=False,
         )
 
     # merge output: flag 1 = resolved (rid/rank/d), 0 = grow ring
@@ -1268,11 +1266,7 @@ def _ring_knn(
                 sentinel, batch_format="pyarrow", zero_copy_batch=True,
                 batch_size=None,
             )
-            cand = (
-                msgs.union(refs_keyed)
-                .groupby("cell")
-                .map_groups(score, batch_format="pyarrow")
-            )
+            cand = co_shuffle([msgs, refs_keyed], "cell", score, coalesce=False)
             fins.append(merge(cand.union(sent), finish).materialize())
         fin = _union_all(fins)
         results.append(_flagged(fin, 1, out_cols))
@@ -1330,16 +1324,11 @@ def _ring_knn(
             ),
             batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
         )
-        band = (
-            _union_all(stalls)
-            .map_batches(
-                expand_rows, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-            .union(refs_rows)
-            .groupby("row")
-            .map_groups(score, batch_format="pyarrow")
+        band_msgs = _union_all(stalls).map_batches(
+            expand_rows, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=None,
         )
+        band = co_shuffle([band_msgs, refs_rows], "row", score, coalesce=False)
         results.append(_flagged(merge(band, make_finish(True)), 1, out_cols))
 
     if not results:
@@ -1472,20 +1461,12 @@ def _radius_cover_count(
             }
         )
 
-    keyed = probes.map_batches(
-        key_probes, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    ).union(
-        refs.map_batches(
-            key_refs, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-    )
-    partials = (
-        ops.shuffle_coalesce(keyed)
-        .groupby("cell")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
+    sides = [
+        d.map_batches(key, batch_format="pyarrow", zero_copy_batch=True,
+                      batch_size=None)
+        for d, key in ((probes, key_probes), (refs, key_refs))
+    ]
+    partials = co_shuffle(sides, "cell", count_bucket, coalesce=True)
     out = ops.tree_sum(
         partials, ["pid"], {"partial_n": count_alias}, int_cols=("partial_n",)
     )
@@ -1838,14 +1819,11 @@ def nearest_segment_join_partitioned(
             }
         )
 
-    keyed = points.map_batches(
-        key_points, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).union(
-        segments.map_batches(
-            key_segs, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-    )
+    sides = [
+        d.map_batches(key, batch_format="pyarrow", zero_copy_batch=True,
+                      batch_size=None)
+        for d, key in ((points, key_points), (segments, key_segs))
+    ]
 
     def bucket(group: pa.Table) -> pa.Table:
         side = group["side"].to_numpy(zero_copy_only=False)
@@ -1886,11 +1864,7 @@ def nearest_segment_join_partitioned(
             }
         )
 
-    partials = (
-        ops.shuffle_coalesce(keyed)
-        .groupby("cell")
-        .map_groups(bucket, batch_format="pyarrow")
-    )
+    partials = co_shuffle(sides, "cell", bucket, coalesce=True)
     best = ops.group_top_k(
         partials, "pid", ["d2_bits", out_seg], 1, descending=False
     )

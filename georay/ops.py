@@ -24,6 +24,9 @@ import ray
 import ray.data
 
 from georay import cells, exchange, kernels
+# the key hashes live beside the co-shuffle; ops._mix64 and
+# ops._bytes_hash stay importable under their old names
+from georay.exchange import _bytes_hash, _key_hash, _mix64, bucket_ids, co_shuffle  # noqa: F401
 from georay.codecs import native
 from georay.types import GeoType
 
@@ -329,98 +332,6 @@ def validate_geometry(ds: ray.data.Dataset, col: str) -> int:
 
 # ----------------------------------------------------------------- dedup
 
-def _mix64(h: np.ndarray) -> np.ndarray:
-    """murmur3 finalizer over a uint64 array (in place, returns h)."""
-    h ^= h >> np.uint64(33)
-    h *= np.uint64(0xFF51AFD7ED558CCD)
-    h ^= h >> np.uint64(33)
-    return h
-
-
-def _bytes_hash(arr: pa.Array) -> np.ndarray:
-    """(n,) uint64 multilinear hash of a string/binary Arrow array — one
-    vectorized pass over the flat data buffer (no per-row Python). Nulls
-    and empty strings hash to 0.
-
-    Each byte at within-row position i is weighted by ``mix64(i+1)`` — a
-    bijection, so every position gets a DISTINCT 64-bit coefficient at
-    ANY key length (a capped power table would alias positions past the
-    cap and silently collide long keys that differ only in their tails).
-    The row length is folded in before the final mix so keys differing
-    only by trailing NUL bytes (whose byte terms are zero) stay distinct.
-    Pairwise collision odds ~2^-64 for arbitrary-length keys.
-    """
-
-    arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-    lb = arr.cast(pa.large_binary())
-    n = len(lb)
-    out = np.zeros(n, dtype=np.uint64)
-    if n == 0:
-        return out
-    offs = np.frombuffer(lb.buffers()[1], dtype=np.int64, count=n + 1,
-                         offset=lb.offset * 8)
-    data = np.frombuffer(lb.buffers()[2], dtype=np.uint8)
-    starts, ends = offs[:-1], offs[1:]
-    lens = ends - starts
-    total_lo, total_hi = int(starts[0]), int(ends[-1])
-    if total_hi == total_lo:
-        return out
-    blob = data[total_lo:total_hi].astype(np.uint64)
-    from georay.index import _ragged_ranges
-
-    owner, within = _ragged_ranges(lens)
-    seg_starts = (starts - total_lo).copy()
-    # reduceat quirk: an empty segment returns the element at its start
-    # index (and start==len(blob) would be out of range) — clamp, then
-    # zero empties below
-    coeff = _mix64(within.astype(np.uint64) + np.uint64(1))
-    h = np.add.reduceat(
-        blob * coeff,
-        np.minimum(seg_starts, blob.shape[0] - 1),
-    )
-    h += np.uint64(0x9E3779B97F4A7C15) * lens.astype(np.uint64)
-    h[lens == 0] = 0
-    if lb.null_count:
-        valid = np.asarray(lb.is_valid())
-        h[~valid] = 0
-    return _mix64(h)
-
-
-def _key_hash(batch: pa.Table, keys: list[str]) -> np.ndarray | None:
-    """(n,) uint64 combined hash of the key columns; None when a key type
-    has no vectorized hash path (caller falls back to per-group)."""
-    h = np.full(len(batch), np.uint64(0x9E3779B97F4A7C15), dtype=np.uint64)
-    for k in keys:
-        col = batch[k]
-        typ = col.type
-        if pa.types.is_integer(typ):
-            # fill nulls before the numpy cast (NaN→int is undefined);
-            # all nulls share value-0's BUCKET, which only affects load,
-            # never grouping — the boundary checks are null-aware
-            filled = pc.fill_null(col, 0)
-            if isinstance(filled, pa.ChunkedArray):
-                filled = filled.combine_chunks()
-            arr = filled.to_numpy(zero_copy_only=False)
-            hk = _mix64(arr.astype(np.int64).view(np.uint64).copy())
-        elif (
-            pa.types.is_string(typ)
-            or pa.types.is_large_string(typ)
-            or pa.types.is_binary(typ)
-            or pa.types.is_large_binary(typ)
-        ):
-            hk = _bytes_hash(
-                col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            )
-        elif pa.types.is_null(typ):
-            # an all-null block (e.g. from_items schema inference): same
-            # bucket as integer null (value-0's hash) — load-only effect
-            hk = _mix64(np.zeros(len(batch), np.uint64))
-        else:
-            return None
-        h = _mix64(h * np.uint64(0x100000001B3) + hk)
-    return h
-
-
 def dedup_exact(
     ds: ray.data.Dataset,
     key: str | list[str],
@@ -447,14 +358,7 @@ def dedup_exact(
         for t in (probe.field(k).type for k in keys)
     )
     if hashable:
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            h = _key_hash(batch, keys)
-            return batch.append_column(
-                "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-            )
-
         def per_bucket(group: pa.Table) -> pa.Table:
-            group = group.drop_columns(["_bucket"])
             sort_keys = [(k, "ascending") for k in keys]
             if keep_col is not None:
                 sort_keys.append((keep_col, "ascending"))
@@ -472,16 +376,7 @@ def dedup_exact(
                 first[1:] |= diff | (nul[1:] != nul[:-1])
             return g.filter(pa.array(first))
 
-        return (
-            shuffle_coalesce(
-                ds.map_batches(
-                    add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                    batch_size=None,
-                )
-            )
-            .groupby("_bucket")
-            .map_groups(per_bucket, batch_format="pyarrow")
-        )
+        return co_shuffle(ds, keys, per_bucket, n_buckets=n_buckets, coalesce=True)
 
     def first(group: pa.Table) -> pa.Table:
         if keep_col is not None:
@@ -489,9 +384,7 @@ def dedup_exact(
             return group.take(order[:1])
         return group.slice(0, 1)
 
-    return ds.groupby(keys[0] if len(keys) == 1 else keys).map_groups(
-        first, batch_format="pyarrow"
-    )
+    return co_shuffle(ds, keys[0] if len(keys) == 1 else keys, first, coalesce=False)
 
 
 # ------------------------------------------------------- salted aggregate
@@ -499,25 +392,6 @@ def dedup_exact(
 # rows per combine task when coalescing partial blocks ahead of the final
 # merge; sized so one combined block is a few MB of (key, partials)
 COMBINE_TARGET_ROWS = 1 << 18
-
-
-def shuffle_coalesce(ds: ray.data.Dataset, target_blocks: int | None = None):
-    """Coalesce a Dataset to ~2 blocks per CPU before a groupby shuffle.
-
-    Ray's sort-shuffle map stage splits EVERY input block into one slice
-    per output partition, so its constant cost is blocks × partitions
-    object-store operations — a many-small-block input (hundreds of
-    parquet fragments) makes the shuffle barrier dominate. Measured on
-    the 14.4M-row co-partitioned join at 32 cpus: 19.7 s with ~800 read
-    blocks, 3.3 s after coalescing to 64 (6×). The narrow split/merge
-    repartition this inserts costs a fraction of that. Harmless when the
-    input already has few blocks (splitting small data is cheap)."""
-    if target_blocks is None:
-        try:
-            target_blocks = max(int(ray.cluster_resources().get("CPU", 8)) * 2, 16)
-        except Exception:
-            target_blocks = 16
-    return ds.repartition(target_blocks)
 
 
 def _quantize_i64(x: np.ndarray, quantize: float, op: str) -> np.ndarray:
@@ -597,14 +471,16 @@ def tree_reduce(
     keys: str | list[str],
     val_map: dict[str, str],
     ufunc=np.add,
+    int_cols: tuple = (),
 ) -> ray.data.Dataset:
-    """Combine-tree grouped reduction (same plan as ``tree_sum`` but for
+    """Combine-tree grouped reduction, the engine behind ``tree_sum``:
     any associative commutative ufunc, or a ``{src_col: ufunc}`` dict for
-    per-column reducers): a combine stage coalesces the tiny per-batch
+    per-column reducers. A combine stage coalesces the tiny per-batch
     partials, then ONE merge task emits the exact per-key result at
     numpy rate — no sort-shuffle barrier. Requires distinct keys × row
     width to fit one worker (true for label tables, top-k partials,
-    bounded-cardinality histograms)."""
+    bounded-cardinality histograms). ``int_cols`` are cast to int64 in
+    the merge output."""
     key_list = [keys] if isinstance(keys, str) else list(keys)
 
     def reduce_batch(batch: pa.Table, rename: bool) -> pa.Table:
@@ -613,7 +489,10 @@ def tree_reduce(
         ks, vs = _group_reduce(karrs, varrs, ufunc=ufunc)
         cols = {k: pa.array(a) for k, a in zip(key_list, ks)}
         for src, out in val_map.items():
-            cols[out if rename else src] = pa.array(vs[src])
+            v = vs[src]
+            if rename and src in int_cols:
+                v = v.astype(np.int64)
+            cols[out if rename else src] = pa.array(v)
         return pa.table(cols)
 
     combined = parts.map_batches(
@@ -665,34 +544,7 @@ def tree_sum(
 
         aggs = [Sum(src, alias_name=out) for src, out in sum_map.items()]
         return partials.groupby(key_list[0] if len(key_list) == 1 else key_list).aggregate(*aggs)
-
-    def reduce_batch(batch: pa.Table, rename: bool) -> pa.Table:
-        karrs = [batch[k].to_numpy(zero_copy_only=False) for k in key_list]
-        varrs = {s: batch[s].to_numpy(zero_copy_only=False) for s in sum_map}
-        ks, vs = _group_reduce(karrs, varrs)
-        cols = {k: pa.array(a) for k, a in zip(key_list, ks)}
-        for src, out in sum_map.items():
-            v = vs[src]
-            name = out if rename else src
-            if rename and (src in int_cols):
-                v = v.astype(np.int64)
-            cols[name] = pa.array(v)
-        return pa.table(cols)
-
-    combined = partials.map_batches(
-        lambda b: reduce_batch(b, rename=False),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS,
-        num_cpus=0.5,
-    )
-    return combined.map_batches(
-        lambda b: reduce_batch(b, rename=True),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=1 << 40,
-        num_cpus=0.9,
-    )
+    return tree_reduce(partials, key_list, sum_map, int_cols=int_cols)
 
 
 def salted_count(
@@ -1357,14 +1209,9 @@ def hash_shuffle_rank(
         pos = offs[bid] + np.arange(len(g), dtype=np.int64)
         return g.append_column(out_col, pa.array(pos, pa.int64()))
 
-    return (
-        shuffle_coalesce(
-            ds.map_batches(add_bucket, batch_format="pyarrow",
+    keyed = ds.map_batches(add_bucket, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(keyed, "_bucket", per_bucket, coalesce=True)
 
 
 def focal_sum(
@@ -1761,20 +1608,11 @@ def snapshot_diff(
 
         return f
 
-    both = old.map_batches(
-        tag(0), batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).union(
-        new.map_batches(
-            tag(1), batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-    )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, ["k"])
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
+    sides = [
+        d.map_batches(tag(i), batch_format="pyarrow", zero_copy_batch=True,
+                      batch_size=None)
+        for i, d in enumerate((old, new))
+    ]
 
     def per_bucket(group: pa.Table) -> pa.Table:
         k = group["k"].to_numpy(zero_copy_only=False)
@@ -1811,16 +1649,7 @@ def snapshot_diff(
             }
         )
 
-    partials = (
-        shuffle_coalesce(
-            both.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    partials = co_shuffle(sides, "k", per_bucket, n_buckets=n_buckets, coalesce=True)
     from ray.data.aggregate import Sum
 
     agg = partials.aggregate(
@@ -1865,20 +1694,11 @@ def snapshot_changes(
 
         return f
 
-    both = old.map_batches(
-        tag(0), batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).union(
-        new.map_batches(
-            tag(1), batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-    )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, ["k"])
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
+    sides = [
+        d.map_batches(tag(i), batch_format="pyarrow", zero_copy_batch=True,
+                      batch_size=None)
+        for i, d in enumerate((old, new))
+    ]
 
     label = pa.array(["added", "removed", "changed"], pa.string())
 
@@ -1919,16 +1739,7 @@ def snapshot_changes(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            both.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(sides, "k", per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def winsorize(
@@ -3197,9 +3008,7 @@ def group_top_k(
     ).map_batches(
         add_bucket, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    return shuffle_coalesce(pruned).groupby("_bucket").map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(pruned, "_bucket", per_bucket, coalesce=True)
 
 
 # ----------------------------------------------------- vctr-level ops
@@ -3317,16 +3126,6 @@ def tile_assemble(
     sizes tasks (≈ rows / target_rows_per_task), it is not a parallelism
     cap."""
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        t = batch[tile_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = t.astype(np.uint64)
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def assemble_bucket(group: pa.Table) -> pa.Table:
         tiles = group[tile_col].to_numpy(zero_copy_only=False).astype(np.int64)
         ids = group[id_col]
@@ -3352,16 +3151,7 @@ def tile_assemble(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(assemble_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(ds, tile_col, assemble_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def tile_polygon_assign(
@@ -3566,14 +3356,12 @@ def grouped_approx_distinct(
             {key: group[key].slice(0, 1), "regs": pa.array([regs.tobytes()], pa.binary())}
         )
 
-    merged = (
+    merged = co_shuffle(
         ds.map_batches(
             partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
-        .groupby(key)
-        .map_groups(merge, batch_format="pyarrow")
-        .take_all()
-    )
+        ),
+        key, merge, coalesce=False,
+    ).take_all()
     return {
         r[key]: hll_merge_estimate([np.frombuffer(r["regs"], dtype=np.int8)])
         for r in merged
@@ -3760,10 +3548,7 @@ def equi_join_partitioned(
     r_of_l = dict(zip(lon, ron))
 
     def key_left(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, lon)
-        if h is None:
-            raise TypeError(f"unsupported join key type among {lon}")
-        base = (h % np.uint64(n_buckets)).astype(np.int64)
+        base = bucket_ids(batch, lon, n_buckets)
         salt = np.arange(len(batch), dtype=np.int64) % n_salt
         cols = {
             "_bucket": pa.array(base * n_salt + salt),
@@ -3778,10 +3563,7 @@ def equi_join_partitioned(
         return pa.table(cols)
 
     def key_right(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, ron)
-        if h is None:
-            raise TypeError(f"unsupported join key type among {ron}")
-        base = (h % np.uint64(n_buckets)).astype(np.int64)
+        base = bucket_ids(batch, ron, n_buckets)
         n = len(batch)
         if n_salt > 1:
             idx = np.repeat(np.arange(n, dtype=np.int64), n_salt)
@@ -3839,11 +3621,7 @@ def equi_join_partitioned(
         joined = lt.join(rt, keys=lon, join_type=jt)
         return joined.select(l_cols + r_cols)
 
-    joined = (
-        shuffle_coalesce(lk.union(rk))
-        .groupby("_bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
-    )
+    joined = co_shuffle([lk, rk], "_bucket", join_bucket, coalesce=True)
     # typed-empty anchor: a zero-match join drops every block (Ray 2.49
     # discards empty blocks → schema() degrades to None and a 0-row
     # result loses its columns). The output schema is fully known here,
@@ -4070,14 +3848,7 @@ def asof_join_partitioned(
         def fn(batch: pa.Table) -> pa.Table:
             k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
             t = batch[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-            # splitmix-style key hash → bucket (avoid modulo-of-sequential
-            # ids landing adjacent keys in one bucket)
-            h = k.astype(np.uint64)
-            h ^= h >> np.uint64(33)
-            h *= np.uint64(0xFF51AFD7ED558CCD)
-            h ^= h >> np.uint64(33)
             cols = {
-                "bucket": pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
                 "side": pa.array(np.full(len(batch), side, np.int8)),
                 "k": pa.array(k),
                 "t": pa.array(t),
@@ -4096,12 +3867,7 @@ def asof_join_partitioned(
     def right_fn(batch: pa.Table) -> pa.Table:
         k = batch[right_key].to_numpy(zero_copy_only=False).astype(np.int64)
         t = batch[right_ts].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        h = k.astype(np.uint64)
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
         cols = {
-            "bucket": pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
             "side": pa.array(np.full(len(batch), 1, np.int8)),
             "k": pa.array(k),
             "t": pa.array(t),
@@ -4151,8 +3917,9 @@ def asof_join_partitioned(
             out_cols[c] = sel[f"p{i}"]
         return pa.table(out_cols)
 
-    return shuffle_coalesce(left_keyed.union(right_keyed)).groupby("bucket").map_groups(
-        match_bucket, batch_format="pyarrow"
+    return co_shuffle(
+        [left_keyed, right_keyed], "k", match_bucket, n_buckets=n_buckets,
+        coalesce=True,
     )
 
 
@@ -4300,11 +4067,7 @@ def interval_join_count_partitioned(
         cols[out] = pa.array(hi - lo, pa.int64())
         return pa.table(cols)
 
-    return (
-        shuffle_coalesce(lk.union(rk))
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle([lk, rk], "bucket", count_bucket, coalesce=True)
 
 
 def grouped_spearman(
@@ -4330,14 +4093,6 @@ def grouped_spearman(
     Overflow budget: ``4·n_key³ < 2^63`` (n_key ≲ 1.3M rows per key).
     NULL x/y rows are excluded listwise."""
     proj = ds.select_columns([key, x_col, y_col])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("grouped_spearman requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def rank2(k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Doubled average rank of v within each key (k pre-sorted rows
@@ -4366,7 +4121,6 @@ def grouped_spearman(
         return out
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         keep = pc.and_(pc.is_valid(group[x_col]), pc.is_valid(group[y_col]))
         g = group.filter(keep)
         n = len(g)
@@ -4415,16 +4169,7 @@ def grouped_spearman(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def grouped_kendall(
@@ -4454,14 +4199,6 @@ def grouped_kendall(
     (O(n log n)) instead. NULL x/y rows are excluded listwise."""
     proj = ds.select_columns([key, x_col, y_col])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("grouped_kendall requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     _empty = pa.table(
         {
             key: pa.array([], pa.int64()),
@@ -4475,7 +4212,6 @@ def grouped_kendall(
     )
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         keep = pc.and_(pc.is_valid(group[x_col]), pc.is_valid(group[y_col]))
         g = group.filter(keep)
         n = len(g)
@@ -4536,16 +4272,7 @@ def grouped_kendall(
                          "tie_xy")}
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def grouped_theil_sen(
@@ -4572,14 +4299,6 @@ def grouped_theil_sen(
     Output: (key, n_slopes, slope)."""
     proj = ds.select_columns([key, x_col, y_col])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("grouped_theil_sen requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     _empty = pa.table(
         {
             key: pa.array([], pa.int64()),
@@ -4589,7 +4308,6 @@ def grouped_theil_sen(
     )
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         keep = pc.and_(pc.is_valid(group[x_col]), pc.is_valid(group[y_col]))
         g = group.filter(keep)
         n = len(g)
@@ -4651,16 +4369,7 @@ def grouped_theil_sen(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def window_median(
@@ -4727,10 +4436,7 @@ def window_median(
         med = (win[rows, lo_i] + win[rows, hi_i]) / 2.0
         return out_col, pa.array(med, pa.float64(), mask=(cnt == 0))
 
-    return _window_over_buckets(
-        ds, key, order_list, [False] * len(order_list), n_buckets, emit,
-        "window_median",
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def late_event_stats(
@@ -4829,14 +4535,7 @@ def sessionize(
         or pa.types.is_large_binary(key_type)
     ):
 
-        def add_bucket_str(batch: pa.Table) -> pa.Table:
-            h = _bytes_hash(batch[key])
-            return batch.append_column(
-                "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-            )
-
         def per_bucket_str(group: pa.Table) -> pa.Table:
-            group = group.drop_columns(["_bucket"])
             sort_keys = [(key, "ascending")] + [
                 (c, "ascending")
                 for c in ([ts] if isinstance(ts, str) else list(ts))
@@ -4870,16 +4569,7 @@ def sessionize(
                 }
             )
 
-        return (
-            shuffle_coalesce(
-                ds.map_batches(
-                    add_bucket_str, batch_format="pyarrow",
-                    zero_copy_batch=True, batch_size=None,
-                )
-            )
-            .groupby("_bucket")
-            .map_groups(per_bucket_str, batch_format="pyarrow")
-        )
+        return co_shuffle(ds, key, per_bucket_str, n_buckets=n_buckets, coalesce=True)
 
     if pa.types.is_integer(key_type):
 
@@ -4890,16 +4580,6 @@ def sessionize(
             if isinstance(filled, pa.ChunkedArray):
                 filled = filled.combine_chunks()
             return filled.to_numpy(zero_copy_only=False).astype(np.int64)
-
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            k = _keys_i64(batch[key])
-            h = k.astype(np.uint64)
-            h ^= h >> np.uint64(33)
-            h *= np.uint64(0xFF51AFD7ED558CCD)
-            h ^= h >> np.uint64(33)
-            return batch.append_column(
-                "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-            )
 
         def per_bucket(group: pa.Table) -> pa.Table:
             k = _keys_i64(group[key])
@@ -4928,16 +4608,7 @@ def sessionize(
                 }
             )
 
-        return (
-            shuffle_coalesce(
-                ds.map_batches(
-                    add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                    batch_size=None,
-                )
-            )
-            .groupby("_bucket")
-            .map_groups(per_bucket, batch_format="pyarrow")
-        )
+        return co_shuffle(ds, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
     def per_key(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -4958,7 +4629,7 @@ def sessionize(
         ).reset_index().drop(columns="_sid")
         return pa.Table.from_pandas(agg, preserve_index=False)
 
-    return ds.groupby(key).map_groups(per_key, batch_format="pyarrow")
+    return co_shuffle(ds, key, per_key, coalesce=False)
 
 
 # -------------------------------------------------- extension protocol
@@ -4977,56 +4648,20 @@ def window_lag(
     (PARTITION BY key ORDER BY ts)``); the first row per key gets null.
 
     Same bucket plan as ``sessionize``: ONE key-hash shuffle, each
-    ``map_groups`` call handles a whole bucket of keys in one vectorized
-    sort + shift (key boundaries nulled). Integer and string keys
+    bucket of keys resolved in one vectorized sort + shift (key
+    boundaries nulled). Integer and string keys
     supported; ``n_buckets`` sizes tasks, it is not a parallelism cap.
     """
+    order_list = _ts_order(ts, order_tiebreak)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("window_lag requires int or string/binary keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
-        sort_keys = [(key, "ascending")] + [
-            (c, "ascending")
-            for c in ([ts] if isinstance(ts, str) else list(ts))
-        ]
-        if order_tiebreak:
-            sort_keys.append((order_tiebreak, "ascending"))
-        g = group.take(pc.sort_indices(group, sort_keys=sort_keys))
+    def emit(g: pa.Table, first: np.ndarray, pos: np.ndarray):
         n = len(g)
-        karr = g[key].combine_chunks() if isinstance(g[key], pa.ChunkedArray) else g[key]
-        varr = (
-            g[value_col].combine_chunks()
-            if isinstance(g[value_col], pa.ChunkedArray)
-            else g[value_col]
-        )
+        varr = _chunk(g[value_col])
         # shift down by one, then null rows that start a new key
         lag = pa.concat_arrays([pa.nulls(1, varr.type), varr.slice(0, n - 1)]) if n else varr
-        first = np.zeros(n, dtype=bool)
-        if n:
-            first[0] = True
-            neq = pc.fill_null(pc.not_equal(karr.slice(1), karr.slice(0, n - 1)), False)
-            nul = np.asarray(pc.is_null(karr))
-            first[1:] = np.asarray(neq) | (nul[1:] != nul[:-1])
-        lag = pc.if_else(pa.array(~first), lag, pa.nulls(n, varr.type))
-        return g.append_column(out_col, lag)
+        return out_col, pc.if_else(pa.array(~first), lag, pa.nulls(n, varr.type))
 
-    return (
-        shuffle_coalesce(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def markov_transitions(
@@ -5049,63 +4684,33 @@ def markov_transitions(
     key-boundary masking, and emits LOCAL (from, to, c) partials; the
     combine tree merges them — no second exchange, result bounded by
     |states|² (the transition matrix), independent of row count.
+    NULL keys form one partition, as under the SQL twin's ``PARTITION
+    BY``: consecutive NULL-key rows make transitions too. A pair with a
+    NULL state at either end is dropped, as the twin's ``WHERE`` does.
     Returns (from_state, to_state, c)."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError(
-                "markov_transitions requires int or string/binary keys"
-            )
-        return batch.append_column(
-            "_bucket",
-            pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
-        )
-
-    ts_cols = [ts] if isinstance(ts, str) else list(ts)
+    order_list = _ts_order(ts, order_tiebreak)
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
-        sort_keys = [(key, "ascending")] + [
-            (c, "ascending") for c in ts_cols
-        ]
-        if order_tiebreak:
-            sort_keys.append((order_tiebreak, "ascending"))
-        g = group.take(pc.sort_indices(group, sort_keys=sort_keys))
+        g, first = _sort_runs(group, key, order_list)
         n = len(g)
-        if n < 2:
-            return pa.table(
-                {
-                    "from_state": pa.array([], g[state_col].type),
-                    "to_state": pa.array([], g[state_col].type),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        karr = g[key]
-        if isinstance(karr, pa.ChunkedArray):
-            karr = karr.combine_chunks()
-        sarr = g[state_col]
-        if isinstance(sarr, pa.ChunkedArray):
-            sarr = sarr.combine_chunks()
-        same = np.asarray(
-            pc.fill_null(
-                pc.equal(karr.slice(1), karr.slice(0, n - 1)), False
-            )
+        sarr = _chunk(g[state_col])
+        empty = pa.table(
+            {
+                "from_state": pa.array([], sarr.type),
+                "to_state": pa.array([], sarr.type),
+                "c": pa.array([], pa.int64()),
+            }
         )
-        frm = sarr.slice(0, n - 1).filter(pa.array(same))
-        to = sarr.slice(1).filter(pa.array(same))
-        # NULL states drop (documented; the SQL twin filters both ends)
+        if n < 2:
+            return empty
+        same = pa.array(~first[1:])
+        frm = sarr.slice(0, n - 1).filter(same)
+        to = sarr.slice(1).filter(same)
         ok = pc.and_(pc.is_valid(frm), pc.is_valid(to))
         if not pc.all(ok).as_py():
             frm, to = frm.filter(ok), to.filter(ok)
         if len(frm) == 0:
-            return pa.table(
-                {
-                    "from_state": pa.array([], sarr.type),
-                    "to_state": pa.array([], sarr.type),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
+            return empty
         # local combine: dictionary-encode the pair and count
         fe = frm.dictionary_encode()
         te = to.dictionary_encode()
@@ -5124,16 +4729,7 @@ def markov_transitions(
             }
         )
 
-    partials = (
-        shuffle_coalesce(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    partials = co_shuffle(ds, key, per_bucket, n_buckets=n_buckets, coalesce=True)
     return tree_sum(
         partials, ["from_state", "to_state"], {"c": "c"}, int_cols=("c",)
     )
@@ -5159,43 +4755,11 @@ def window_rank(
         else list(descending)
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("window_rank requires int or string/binary keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
-        sort_keys = [(key, "ascending")] + [
-            (c, "descending" if d else "ascending")
-            for c, d in zip(order_list, desc)
-        ]
-        g = group.take(pc.sort_indices(group, sort_keys=sort_keys))
-        n = len(g)
-        karr = g[key].combine_chunks() if isinstance(g[key], pa.ChunkedArray) else g[key]
-        first = np.zeros(n, dtype=bool)
-        if n:
-            first[0] = True
-            neq = pc.fill_null(pc.not_equal(karr.slice(1), karr.slice(0, n - 1)), False)
-            nul = np.asarray(pc.is_null(karr))
-            first[1:] = np.asarray(neq) | (nul[1:] != nul[:-1])
-        pos = np.arange(n, dtype=np.int64)
+    def emit(g: pa.Table, first: np.ndarray, pos: np.ndarray):
         start = np.maximum.accumulate(np.where(first, pos, 0))
-        return g.append_column(out_col, pa.array(pos - start + 1, pa.int64()))
+        return out_col, pa.array(pos - start + 1, pa.int64())
 
-    return (
-        shuffle_coalesce(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit, desc=desc)
 
 
 def window_cumsum(
@@ -5216,66 +4780,30 @@ def window_cumsum(
     running sum itself is NULL until the frame holds ≥1 non-null value.
     A non-null NaN still poisons the sum from its row on (SQL float
     arithmetic does the same)."""
+    order_list = _ts_order(ts, order_tiebreak)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("window_cumsum requires int or string/binary keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
-        sort_keys = [(key, "ascending")] + [
-            (c, "ascending")
-            for c in ([ts] if isinstance(ts, str) else list(ts))
-        ]
-        if order_tiebreak:
-            sort_keys.append((order_tiebreak, "ascending"))
-        g = group.take(pc.sort_indices(group, sort_keys=sort_keys))
+    def emit(g: pa.Table, first: np.ndarray, pos: np.ndarray):
         n = len(g)
-        karr = g[key].combine_chunks() if isinstance(g[key], pa.ChunkedArray) else g[key]
-        varr = g[value_col]
-        if isinstance(varr, pa.ChunkedArray):
-            varr = varr.combine_chunks()
+        varr = _chunk(g[value_col])
         isnull = np.asarray(pc.is_null(varr)) if n else np.zeros(0, bool)
         v = varr.to_numpy(zero_copy_only=False).astype(np.float64)
         if isnull.any():
             v = np.where(isnull, 0.0, v)
-        first = np.zeros(n, dtype=bool)
-        if n:
-            first[0] = True
-            neq = pc.fill_null(pc.not_equal(karr.slice(1), karr.slice(0, n - 1)), False)
-            nul = np.asarray(pc.is_null(karr))
-            first[1:] = np.asarray(neq) | (nul[1:] != nul[:-1])
         # segmented cumsum: global cumsum minus the sum before each key's
         # first row (index propagation, correct for negative values too).
         # Exact for integer-valued doubles below 2^53 — same caveat as
         # every float-sum oracle here.
         cum = np.cumsum(v)
-        pos = np.arange(n, dtype=np.int64)
         start = np.maximum.accumulate(np.where(first, pos, 0))
         base = cum[start] - v[start]
         out = cum - base
         if isnull.any():  # SQL: NULL until the frame has a non-null value
             nn = np.cumsum(~isnull)
             cnt = nn - (nn[start] - (~isnull)[start])
-            res = pa.array(out, pa.float64(), mask=(cnt == 0))
-        else:
-            res = pa.array(out, pa.float64())
-        return g.append_column(out_col, res)
+            return out_col, pa.array(out, pa.float64(), mask=(cnt == 0))
+        return out_col, pa.array(out, pa.float64())
 
-    return (
-        shuffle_coalesce(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def window_clamped_cumsum(
@@ -5304,34 +4832,13 @@ def window_clamped_cumsum(
     ``np.minimum.accumulate``) with the ``(1 << 62)`` overflow guard
     and a per-segment fallback — the ``interval_union_length``
     convention."""
+    order_list = _ts_order(ts, order_tiebreak)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError(
-                "window_clamped_cumsum requires int or string/binary keys"
-            )
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
-        sort_keys = [(key, "ascending")] + [
-            (c, "ascending")
-            for c in ([ts] if isinstance(ts, str) else list(ts))
-        ]
-        if order_tiebreak:
-            sort_keys.append((order_tiebreak, "ascending"))
-        g = group.take(pc.sort_indices(group, sort_keys=sort_keys))
+    def emit(g: pa.Table, first: np.ndarray, pos: np.ndarray):
         n = len(g)
         if n == 0:
-            return g.append_column(out_col, pa.array([], pa.int64()))
-        karr = g[key].combine_chunks() if isinstance(g[key], pa.ChunkedArray) else g[key]
-        varr = g[value_col]
-        if isinstance(varr, pa.ChunkedArray):
-            varr = varr.combine_chunks()
-        v = np.asarray(pc.fill_null(varr, 0), dtype=np.int64)
+            return out_col, pa.array([], pa.int64())
+        v = np.asarray(pc.fill_null(_chunk(g[value_col]), 0), dtype=np.int64)
         # overflow budget: the whole-bucket cumsum must stay in int64 —
         # Σ|delta| < 2^62 guards it with margin (float sum is a safe
         # upper-bound check; np.cumsum would WRAP silently otherwise)
@@ -5340,14 +4847,8 @@ def window_clamped_cumsum(
                 "window_clamped_cumsum: Σ|delta| per bucket exceeds the "
                 "int64 budget (2^62) — rescale the delta units"
             )
-        first = np.zeros(n, dtype=bool)
-        first[0] = True
-        neq = pc.fill_null(pc.not_equal(karr.slice(1), karr.slice(0, n - 1)), False)
-        nul = np.asarray(pc.is_null(karr))
-        first[1:] = np.asarray(neq) | (nul[1:] != nul[:-1])
         # segmented cumsum (base subtraction — correct for negatives)
         cum = np.cumsum(v)
-        pos = np.arange(n, dtype=np.int64)
         start = np.maximum.accumulate(np.where(first, pos, 0))
         s = cum - (cum[start] - v[start])
         sid = np.cumsum(first) - 1
@@ -5371,18 +4872,9 @@ def window_clamped_cumsum(
             for a, b in zip(bounds[:-1], bounds[1:]):
                 rm[a:b] = np.minimum.accumulate(s[a:b])
         level = s - np.minimum(rm, 0)
-        return g.append_column(out_col, pa.array(level, pa.int64()))
+        return out_col, pa.array(level, pa.int64())
 
-    return (
-        shuffle_coalesce(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def window_moving_sum(
@@ -5407,29 +4899,11 @@ def window_moving_sum(
     (or both +Inf and -Inf) sums to NaN, a frame containing only +Inf
     (-Inf) sums to +Inf (-Inf) — frames PAST the non-finite row are
     unaffected (a plain cumsum difference would poison them forever)."""
+    order_list = _ts_order(ts, order_tiebreak)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("window_moving_sum requires int or string/binary keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
-        sort_keys = [(key, "ascending")] + [
-            (c, "ascending")
-            for c in ([ts] if isinstance(ts, str) else list(ts))
-        ]
-        if order_tiebreak:
-            sort_keys.append((order_tiebreak, "ascending"))
-        g = group.take(pc.sort_indices(group, sort_keys=sort_keys))
+    def emit(g: pa.Table, first: np.ndarray, pos: np.ndarray):
         n = len(g)
-        karr = g[key].combine_chunks() if isinstance(g[key], pa.ChunkedArray) else g[key]
-        varr = g[value_col]
-        if isinstance(varr, pa.ChunkedArray):
-            varr = varr.combine_chunks()
+        varr = _chunk(g[value_col])
         isnull = np.asarray(pc.is_null(varr)) if n else np.zeros(0, bool)
         v = varr.to_numpy(zero_copy_only=False).astype(np.float64)
         if isnull.any():
@@ -5440,14 +4914,7 @@ def window_moving_sum(
             posinf = np.isposinf(v)
             neginf = np.isneginf(v)
             v = np.where(nonfin, 0.0, v)
-        first = np.zeros(n, dtype=bool)
-        if n:
-            first[0] = True
-            neq = pc.fill_null(pc.not_equal(karr.slice(1), karr.slice(0, n - 1)), False)
-            nul = np.asarray(pc.is_null(karr))
-            first[1:] = np.asarray(neq) | (nul[1:] != nul[:-1])
         cum = np.cumsum(v)
-        pos = np.arange(n, dtype=np.int64)
         start = np.maximum.accumulate(np.where(first, pos, 0))
         lower = np.maximum(pos - window_rows + 1, start)
 
@@ -5466,21 +4933,12 @@ def window_moving_sum(
             out = np.where(f_ni > 0, -np.inf, out)
             out = np.where((f_nan > 0) | ((f_pi > 0) & (f_ni > 0)), np.nan, out)
         if isnull.any():  # SQL: NULL when the whole frame is NULL
-            res = pa.array(out, pa.float64(), mask=(frame_count(~isnull) == 0))
-        else:
-            res = pa.array(out, pa.float64())
-        return g.append_column(out_col, res)
-
-    return (
-        shuffle_coalesce(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
+            return out_col, pa.array(
+                out, pa.float64(), mask=(frame_count(~isnull) == 0)
             )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+        return out_col, pa.array(out, pa.float64())
+
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def apply_geo_kernel(
@@ -5510,53 +4968,55 @@ def _window_over_buckets(
     ds: ray.data.Dataset,
     key: str,
     order_list: list[str],
-    desc: list[bool],
     n_buckets: int,
     emit,
-    op_name: str,
+    desc: list[bool] | None = None,
 ) -> ray.data.Dataset:
     """Shared plan for per-key positional window functions: key-hash
     bucket column → one groupby shuffle → whole-bucket vectorized sort,
     then ``emit(sorted_table, first_of_key_mask, positions)`` returns
     (col_name, pa.Array) appended to the bucket."""
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError(f"{op_name} requires int or string/binary keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
-        sort_keys = [(key, "ascending")] + [
-            (c, "descending" if d else "ascending")
-            for c, d in zip(order_list, desc)
-        ]
-        g = group.take(pc.sort_indices(group, sort_keys=sort_keys))
-        n = len(g)
-        karr = g[key].combine_chunks() if isinstance(g[key], pa.ChunkedArray) else g[key]
-        first = np.zeros(n, dtype=bool)
-        if n:
-            first[0] = True
-            neq = pc.fill_null(pc.not_equal(karr.slice(1), karr.slice(0, n - 1)), False)
-            nul = np.asarray(pc.is_null(karr))
-            first[1:] = np.asarray(neq) | (nul[1:] != nul[:-1])
-        pos = np.arange(n, dtype=np.int64)
-        name, col = emit(g, first, pos)
+        g, first = _sort_runs(group, key, order_list, desc)
+        name, col = emit(g, first, np.arange(len(g), dtype=np.int64))
         return g.append_column(name, col)
 
-    return (
-        shuffle_coalesce(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return co_shuffle(ds, key, per_bucket, n_buckets=n_buckets, coalesce=True)
+
+
+def _sort_runs(
+    group: pa.Table, key: str, order_list: list[str],
+    desc: list[bool] | None = None,
+) -> tuple[pa.Table, np.ndarray]:
+    """``group`` sorted by (key, order_list), ascending unless ``desc``
+    says otherwise, and the mask of each key's first row. NULL keys sort
+    last and form one partition, as under SQL ``PARTITION BY``."""
+    sort_keys = [(key, "ascending")] + [
+        (c, "descending" if d else "ascending")
+        for c, d in zip(order_list, desc or [False] * len(order_list))
+    ]
+    g = group.take(pc.sort_indices(group, sort_keys=sort_keys))
+    n = len(g)
+    karr = _chunk(g[key])
+    first = np.zeros(n, dtype=bool)
+    if n:
+        first[0] = True
+        neq = pc.fill_null(pc.not_equal(karr.slice(1), karr.slice(0, n - 1)), False)
+        nul = np.asarray(pc.is_null(karr))
+        first[1:] = np.asarray(neq) | (nul[1:] != nul[:-1])
+    return g, first
+
+
+def _ts_order(ts: str | list[str], order_tiebreak: str | None) -> list[str]:
+    """Window order columns: ``ts`` (one or more), then the tiebreak."""
+    return ([ts] if isinstance(ts, str) else list(ts)) + (
+        [order_tiebreak] if order_tiebreak else []
     )
+
+
+def _chunk(arr):
+    return arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
 
 
 def window_dense_rank(
@@ -5586,9 +5046,7 @@ def window_dense_rank(
         base = np.maximum.accumulate(np.where(first, cs - 1, 0))
         return out_col, pa.array(cs - base, pa.int64())
 
-    return _window_over_buckets(
-        ds, key, order_list, desc, n_buckets, emit, "window_dense_rank"
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit, desc=desc)
 
 
 def window_share(
@@ -5636,9 +5094,7 @@ def window_share(
             share = np.empty(0, np.int64)
         return out_col, pa.array(share, pa.int64())
 
-    return _window_over_buckets(
-        ds, key, [], [], n_buckets, emit, "window_share"
-    )
+    return _window_over_buckets(ds, key, [], n_buckets, emit)
 
 
 def window_ntile(
@@ -5680,9 +5136,7 @@ def window_ntile(
             )
         return out_col, pa.array(tile + 1, pa.int64())
 
-    return _window_over_buckets(
-        ds, key, order_list, desc, n_buckets, emit, "window_ntile"
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit, desc=desc)
 
 
 def rollup_sum(
@@ -6174,10 +5628,7 @@ def window_percent_rank(
             pr = np.where(cnt > 1, (rank - 1) / np.maximum(cnt - 1, 1), 0.0)
         return out_col, pa.array(pr, pa.float64())
 
-    return _window_over_buckets(
-        ds, key, order_list, [False] * len(order_list), n_buckets, emit,
-        "window_percent_rank",
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def window_cume_dist(
@@ -6210,10 +5661,7 @@ def window_cume_dist(
         cd = le / cnt
         return out_col, pa.array(cd, pa.float64())
 
-    return _window_over_buckets(
-        ds, key, order_list, [False] * len(order_list), n_buckets, emit,
-        "window_cume_dist",
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def grouped_corr(
@@ -6336,24 +5784,16 @@ def set_op_distinct(
 
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
-            batch = batch.select(key_list)
-            h = _key_hash(batch, key_list)
-            if h is None:
-                raise TypeError("set_op_distinct requires int or string/binary keys")
-            return batch.append_column(
-                "_bucket", pa.array((h % np.uint64(256)).astype(np.int64))
-            ).append_column(
+            return batch.select(key_list).append_column(
                 "_side", pa.array(np.full(len(batch), side, np.int64))
             )
         return fn
 
-    u = ds_a.map_batches(
-        tag(0), batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).union(
-        ds_b.map_batches(
-            tag(1), batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
-    )
+    sides = [
+        d.map_batches(tag(i), batch_format="pyarrow", zero_copy_batch=True,
+                      batch_size=None)
+        for i, d in enumerate((ds_a, ds_b))
+    ]
 
     def per_bucket(group: pa.Table) -> pa.Table:
         # Arrow-native sort + boundary segmentation: preserves key types
@@ -6379,9 +5819,7 @@ def set_op_distinct(
         keep = mx == 0 if op == "except" else (mn == 0) & (mx == 1)
         return g.select(key_list).take(pa.array(starts[keep]))
 
-    return shuffle_coalesce(u).groupby("_bucket").map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return co_shuffle(sides, key_list, per_bucket, n_buckets=256, coalesce=True)
 
 
 def grouped_string_agg(
@@ -6402,16 +5840,7 @@ def grouped_string_agg(
     (they are the whole point of the op); key count is unbounded."""
     order_list = [order_cols] if isinstance(order_cols, str) else list(order_cols)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("grouped_string_agg requires int or string/binary keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         valid = pc.is_valid(group[value_col])
         if not pc.all(valid).as_py():
             group = group.filter(valid)
@@ -6439,16 +5868,7 @@ def grouped_string_agg(
         )
         return pa.table({key: karr.take(pa.array(starts)), out_col: joined})
 
-    return (
-        shuffle_coalesce(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(ds, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def time_gap_fill(
@@ -6483,14 +5903,6 @@ def time_gap_fill(
     )
     counts = tree_sum(parts, [key, bucket_col], {"_n": count_alias})
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("time_gap_fill requires int or string/binary keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     key_type = ds.schema().base_schema.field(key).type
 
     def fill(group: pa.Table) -> pa.Table:
@@ -6523,15 +5935,7 @@ def time_gap_fill(
              count_alias: pa.array(out_n)}
         )
 
-    return (
-        counts.map_batches(
-            add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        .groupby("_bucket")
-        .map_groups(lambda g: fill(g.drop_columns(["_bucket"])),
-                    batch_format="pyarrow")
-    )
+    return co_shuffle(counts, key, fill, n_buckets=n_buckets, coalesce=False)
 
 
 def window_row_number(
@@ -6550,10 +5954,7 @@ def window_row_number(
         key_start = np.maximum.accumulate(np.where(first, pos, 0))
         return out_col, pa.array(pos - key_start + 1, pa.int64())
 
-    return _window_over_buckets(
-        ds, key, order_list, [False] * len(order_list), n_buckets, emit,
-        "window_row_number",
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def window_lead(
@@ -6584,10 +5985,7 @@ def window_lead(
         last[-1] = True
         return out_col, pc.if_else(pa.array(~last), lead, pa.scalar(None, varr.type))
 
-    return _window_over_buckets(
-        ds, key, order_list, [False] * len(order_list), n_buckets, emit,
-        "window_lead",
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def unpivot(
@@ -6716,10 +6114,11 @@ def peak_concurrency(
             )}
         )
 
-    peaks = ds.map_batches(
-        add_shard, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    ).groupby("_shard").map_groups(shard_max, batch_format="pyarrow")
+    peaks = co_shuffle(
+        ds.map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True,
+                       batch_size=None),
+        "_shard", shard_max, coalesce=False,
+    )
 
     def fold(batch: pa.Table) -> pa.Table:
         p = batch["partial_peak"].to_numpy(zero_copy_only=False)
@@ -6826,11 +6225,7 @@ def pack_sequences(
             pack_col, pa.array(off // budget, pa.int64())
         ).append_column(offset_col, pa.array(off % budget, pa.int64()))
 
-    return (
-        shuffle_coalesce(keyed)
-        .groupby(scol)
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return co_shuffle(keyed, scol, per_shard, coalesce=True)
 
 
 def json_extract_scalar(
@@ -7001,22 +6396,13 @@ def merge_upsert(
             "_src", pa.array(np.ones(len(batch), np.int8))
         )
 
-    tagged = base.map_batches(
-        tag_base, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).union(
-        updates.map_batches(
-            tag_upd, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
-    )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, keys)
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
+    sides = [
+        d.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True,
+                      batch_size=None)
+        for d, tag in ((base, tag_base), (updates, tag_upd))
+    ]
 
     def resolve(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         sort_keys = [(k, "ascending") for k in keys] + [
             ("_src", "descending"),
             (version_col, "descending"),
@@ -7037,16 +6423,7 @@ def merge_upsert(
         )
         return g.filter(pa.array(live)).select(base_cols)
 
-    return (
-        shuffle_coalesce(
-            tagged.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    return co_shuffle(sides, keys, resolve, n_buckets=n_buckets, coalesce=True)
 
 
 def tile_pyramid(
@@ -7127,10 +6504,7 @@ def window_first_value(
         key_start = np.maximum.accumulate(np.where(first, pos, 0))
         return out_col, varr.take(pa.array(key_start))
 
-    return _window_over_buckets(
-        ds, key, order_list, [False] * len(order_list), n_buckets, emit,
-        "window_first_value",
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def window_last_value(
@@ -7165,10 +6539,7 @@ def window_last_value(
         last_of_key = ends[key_id]
         return out_col, varr.take(pa.array(last_of_key))
 
-    return _window_over_buckets(
-        ds, key, order_list, [False] * len(order_list), n_buckets, emit,
-        "window_last_value",
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def window_range_sum(
@@ -7235,9 +6606,7 @@ def window_range_sum(
         return out_col, pa.array(total, pa.int64())
 
     order_list = [ts_col]
-    return _window_over_buckets(
-        ds, key, order_list, [False], n_buckets, emit, "window_range_sum"
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def window_range_minmax(
@@ -7330,9 +6699,7 @@ def window_range_minmax(
             return out_name, pa.array(out, pa.float64(), mask=(cnt == 0))
         return out_name, pa.array(out, pa.float64())
 
-    return _window_over_buckets(
-        ds, key, [ts_col], [False], n_buckets, emit, "window_range_minmax"
-    )
+    return _window_over_buckets(ds, key, [ts_col], n_buckets, emit)
 
 
 def skyline2(
@@ -7630,14 +6997,6 @@ def interval_union_length(
     arithmetic end-to-end — the SQL window twin is bit-exact."""
     proj = ds.select_columns([key, start_col, end_col])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("interval_union_length requires int/string keys")
-        return batch.append_column(
-            "_b", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def per_bucket(group: pa.Table) -> pa.Table:
         k = group[key].to_numpy(zero_copy_only=False).astype(np.int64)
         s = group[start_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7682,14 +7041,7 @@ def interval_union_length(
             }
         )
 
-    return (
-        proj.map_batches(
-            add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=False)
 
 
 def dissolve_area(
@@ -7728,14 +7080,6 @@ def dissolve_area(
     standard sweep bound; at 100 TB the shuffle is the only wide step
     and a key's rect set is the unit of locality."""
     proj = ds.select_columns([key, x1_col, y1_col, x2_col, y2_col])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("dissolve_area requires int/string keys")
-        return batch.append_column(
-            "_b", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def per_bucket(group: pa.Table) -> pa.Table:
         karr = group[key].to_numpy(zero_copy_only=False)
@@ -7834,14 +7178,7 @@ def dissolve_area(
             kcol = pa.array(out_keys.astype(np.int64), pa.int64())
         return pa.table({key: kcol, out_col: pa.array(areas, pa.int64())})
 
-    return (
-        proj.map_batches(
-            add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=False)
 
 
 def time_weighted_avg(
@@ -7864,14 +7201,6 @@ def time_weighted_avg(
     One key-bucket shuffle; per bucket one lexsort + diff + reduceat.
     Output: (key, twa_num int64, twa_den int64, twa float64)."""
     proj = ds.select_columns([key, ts_col, value_col])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("time_weighted_avg requires int/string keys")
-        return batch.append_column(
-            "_b", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def per_bucket(group: pa.Table) -> pa.Table:
         k = group[key].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7915,14 +7244,7 @@ def time_weighted_avg(
             }
         )
 
-    return (
-        proj.map_batches(
-            add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=False)
 
 def compact_cells(
     ds: ray.data.Dataset,
@@ -8021,15 +7343,13 @@ def compact_cells(
                 }
             )
 
-        cur = (
+        cur = co_shuffle(
             cur.map_batches(
                 split_bucket, batch_format="pyarrow", zero_copy_batch=True,
                 batch_size=None,
-            )
-            .groupby("_b")
-            .map_groups(promote, batch_format="pyarrow")
-            .materialize()
-        )
+            ),
+            "_b", promote, coalesce=False,
+        ).materialize()
 
     return cur
 
@@ -8174,14 +7494,6 @@ def cusum_alarms(
     order_list = [order_cols] if isinstance(order_cols, str) else list(order_cols)
     proj = ds.select_columns([key, *order_list, value_col])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("cusum_alarms requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def per_bucket(group: pa.Table) -> pa.Table:
         sort_keys = [(key, "ascending")] + [(c, "ascending") for c in order_list]
         g = group.take(pc.sort_indices(group, sort_keys=sort_keys))
@@ -8234,16 +7546,7 @@ def cusum_alarms(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def grouped_ols(
@@ -8578,14 +7881,6 @@ def grouped_autocorr(
     order_list = [order_cols] if isinstance(order_cols, str) else list(order_cols)
     proj = ds.select_columns([key, *order_list, value_col])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("grouped_autocorr requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     _empty = pa.table(
         {
             key: pa.array([], pa.int64()),
@@ -8631,16 +7926,7 @@ def grouped_autocorr(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def hoover_exact(
@@ -8926,9 +8212,7 @@ def window_decayed_sum(
             out[j:][m] += contrib[m]
         return out_col, pa.array(out, pa.int64())
 
-    return _window_over_buckets(
-        ds, key, order_list, desc, n_buckets, emit, "window_decayed_sum"
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit, desc=desc)
 
 
 def rolling_active_count(
@@ -9206,10 +8490,7 @@ def window_locf(
         filled = col.take(idx)
         return out_col, pc.if_else(pa.array(has), filled, pa.scalar(None, col.type))
 
-    return _window_over_buckets(
-        ds, key, order_list, [False] * len(order_list), n_buckets, emit,
-        "window_locf",
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 def grouped_weighted_median(
@@ -9433,10 +8714,7 @@ def window_distinct_count(
             cnt += _POPCOUNT8[byte]
         return out_col, pa.array(cnt, pa.int64())
 
-    return _window_over_buckets(
-        ds, key, order_list, [False] * len(order_list), n_buckets, emit,
-        "window_distinct_count",
-    )
+    return _window_over_buckets(ds, key, order_list, n_buckets, emit)
 
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], np.int64)
@@ -9753,14 +9031,6 @@ def activity_islands(
     No driver state, no per-key Python."""
     proj = ds.select_columns([key, ts_col])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("activity_islands requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def per_bucket(group: pa.Table) -> pa.Table:
         group = group.drop_null()  # NULL key/ts rows are excluded
         k = group[key].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9812,16 +9082,7 @@ def activity_islands(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def corr_pairs(
@@ -10107,14 +9368,6 @@ def interarrival_stats(
     diff with cross-key boundaries masked."""
     proj = ds.select_columns([key, ts_col])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("interarrival_stats requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def per_bucket(group: pa.Table) -> pa.Table:
         group = group.drop_null()  # NULL key/ts rows are excluded
         k = group[key].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -10179,16 +9432,7 @@ def interarrival_stats(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def window_trend(
@@ -10215,14 +9459,6 @@ def window_trend(
     budget: requires ``w · max|v_q| · rows_per_key < 2^63``."""
     order_list = [order_cols] if isinstance(order_cols, str) else list(order_cols)
     proj = ds.select_columns([key, *order_list, value_col])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("window_trend requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def per_bucket(group: pa.Table) -> pa.Table:
         group = group.drop_null()  # NULL key/order/value rows are excluded
@@ -10268,16 +9504,7 @@ def window_trend(
         cols["slope_den"] = pa.array(cnt * sxx - sx * sx, pa.int64())
         return pa.table(cols)
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def window_burst(
@@ -10299,14 +9526,6 @@ def window_burst(
     key-offset-packed timestamp array (the ``cusum_alarms`` packing,
     same 2^62 guard with a per-key fallback), then a per-key max."""
     proj = ds.select_columns([key, ts_col])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("window_burst requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def per_bucket(group: pa.Table) -> pa.Table:
         group = group.drop_null()  # NULL key/ts rows are excluded
@@ -10356,16 +9575,7 @@ def window_burst(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def conversion_lag(
@@ -10386,14 +9596,6 @@ def conversion_lag(
     ``_group_reduce`` mins (the to-side filtered by a searchsorted
     attach of the from-side first) — no per-key Python."""
     proj = ds.select_columns([key, ts_col, type_col])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("conversion_lag requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def per_bucket(group: pa.Table) -> pa.Table:
         group = group.drop_null()
@@ -10432,16 +9634,7 @@ def conversion_lag(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)
 
 
 def debounce_count(
@@ -10459,14 +9652,6 @@ def debounce_count(
     at-least-once event streams. One key-hash bucket shuffle,
     vectorized diffs."""
     proj = ds.select_columns([key, ts_col])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("debounce_count requires int or string keys")
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def per_bucket(group: pa.Table) -> pa.Table:
         group = group.drop_null()
@@ -10501,13 +9686,4 @@ def debounce_count(
             }
         )
 
-    return (
-        shuffle_coalesce(
-            proj.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(proj, key, per_bucket, n_buckets=n_buckets, coalesce=True)

@@ -39,6 +39,7 @@ from ray.data._internal.planner.plan_write_op import WRITE_UUID_KWARG_NAME
 from ray.data.block import BlockAccessor
 
 from georay import cells, exchange, ops
+from georay.exchange import co_shuffle
 from georay.joins import pip_join
 
 MANIFEST = "manifest.json"
@@ -363,9 +364,9 @@ def run_flagship(
 
         def add_cell_bucket(batch: pa.Table) -> pa.Table:
             # write_bucketed's _key_hash layout
-            h = ops._key_hash(batch, ["cell_parent"])
             return batch.append_column(
-                "bucket", pa.array((h % np.uint64(FLAGSHIP_BUCKETS)).astype(np.int64))
+                "bucket",
+                pa.array(exchange.bucket_ids(batch, ["cell_parent"], FLAGSHIP_BUCKETS)),
             )
 
         return ds.map_batches(
@@ -596,14 +597,9 @@ def write_bucketed(
     (``bucketed_join``). The 100-TB amortization: pay the exchange
     once at write time, reuse it across every downstream join /
     aggregate on that key. Returns the partition directories."""
-    from georay.ops import _key_hash
-
     def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, [key])
-        if h is None:
-            raise TypeError("write_bucketed requires int or string/binary keys")
         return batch.append_column(
-            "bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
+            "bucket", pa.array(exchange.bucket_ids(batch, [key], n_buckets))
         )
 
     out = ds.map_batches(
@@ -762,7 +758,7 @@ def _postings_tf_write(
     layout (full build AND incremental append). Returns the written
     docs' ``(n_docs, sum_dl)`` so callers can set/fold the manifest
     scalars."""
-    from georay.ops import _group_reduce, _key_hash
+    from georay.ops import _group_reduce
     from georay.stages.text import _tokenize_flat
 
     # one source read serves both writes; one tokenize pass serves the
@@ -793,9 +789,8 @@ def _postings_tf_write(
                 "tf": pa.array(vs["tf"], pa.int64()),
             }
         )
-        h = _key_hash(out, ["token"])
         return out.append_column(
-            "bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
+            "bucket", pa.array(exchange.bucket_ids(out, ["token"], n_buckets))
         )
 
     post = ds.map_batches(
@@ -817,9 +812,8 @@ def _postings_tf_write(
         out = pa.table(
             {id_col: batch[id_col], "dl": pa.array(counts, pa.int64())}
         )
-        h = _key_hash(out, [id_col])
         return out.append_column(
-            "bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
+            "bucket", pa.array(exchange.bucket_ids(out, [id_col], n_buckets))
         )
 
     dl_ds = ds.map_batches(
@@ -901,7 +895,6 @@ def _postings_pos_write(
 ) -> None:
     """Shared occurrence-explode + bucketed write for the positional
     postings layout (full build AND incremental append)."""
-    from georay.ops import _key_hash
     from georay.stages.text import _tokenize_flat
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -923,9 +916,8 @@ def _postings_pos_write(
                 "pos": pa.array(pos[keep], pa.int64()),
             }
         )
-        h = _key_hash(out, ["token"])
         return out.append_column(
-            "bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
+            "bucket", pa.array(exchange.bucket_ids(out, ["token"], n_buckets))
         )
 
     ds.map_batches(
@@ -1026,7 +1018,7 @@ def postings_phrase(
     counts; the combine tree sums per (doc, start), and a start matched
     by ALL positions is one occurrence. Occurrence rows are
     query-result-sized — the corpus never moves."""
-    from georay.ops import _group_reduce, _key_hash, tree_sum
+    from georay.ops import _group_reduce, tree_sum
 
     if not phrase:
         raise ValueError("postings_phrase: empty phrase")
@@ -1040,7 +1032,7 @@ def postings_phrase(
     n_buckets, id_col = int(meta["n_buckets"]), meta["id_col"]
     uniq = sorted(set(phrase))
     tt = pa.table({"token": pa.array(uniq, pa.string())})
-    tb = (_key_hash(tt, ["token"]) % np.uint64(n_buckets)).astype(np.int64)
+    tb = exchange.bucket_ids(tt, ["token"], n_buckets)
     files = [
         f
         for b in sorted(set(tb.tolist()))
@@ -1121,7 +1113,7 @@ def postings_near(
     min |posA − posB| fully vectorized: in the merged (doc, pos) sort,
     the minimum cross-term gap is realized by some ADJACENT pair with
     differing sides, so one lexsort + one masked diff finds it."""
-    from georay.ops import _group_reduce, _key_hash, tree_sum
+    from georay.ops import _group_reduce, tree_sum
 
     with open(os.path.join(postings_dir, "_POSTINGS.json")) as f:
         meta = json.load(f)
@@ -1131,7 +1123,7 @@ def postings_near(
     if term_a == term_b:
         raise ValueError("postings_near: terms must differ")
     tt = pa.table({"token": pa.array(sorted({term_a, term_b}), pa.string())})
-    tb = (_key_hash(tt, ["token"]) % np.uint64(n_buckets)).astype(np.int64)
+    tb = exchange.bucket_ids(tt, ["token"], n_buckets)
     files = [
         f
         for b in sorted(set(tb.tolist()))
@@ -1163,13 +1155,6 @@ def postings_near(
     occ = rd.read_parquet(files, columns=["token", id_col, "pos"]).map_batches(
         project, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    from georay.ops import _key_hash as _kh
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _kh(batch, [id_col])
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def min_gap(group: pa.Table) -> pa.Table:
         doc = group[id_col].to_numpy(zero_copy_only=False)
@@ -1197,13 +1182,7 @@ def postings_near(
              "min_gap": pa.array(outs["g"][keep], pa.int64())}
         )
 
-    bucketed = occ.map_batches(
-        add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    )
-    return bucketed.groupby("_bucket").map_groups(
-        min_gap, batch_format="pyarrow"
-    )
+    return co_shuffle(occ, id_col, min_gap, n_buckets=n_buckets, coalesce=False)
 
 
 def postings_search(
@@ -1221,7 +1200,7 @@ def postings_search(
     Bucket count and id column come from the layout's own
     ``_POSTINGS.json`` manifest (a mismatched reader would silently
     miss terms)."""
-    from georay.ops import _group_reduce, _key_hash, tree_sum
+    from georay.ops import _group_reduce, tree_sum
 
     if mode not in ("and", "or"):
         raise ValueError(f"mode must be and|or, got {mode!r}")
@@ -1230,7 +1209,7 @@ def postings_search(
     n_buckets, id_col = int(meta["n_buckets"]), meta["id_col"]
     uniq_terms = sorted(set(terms))
     tt = pa.table({"token": pa.array(uniq_terms, pa.string())})
-    tb = (_key_hash(tt, ["token"]) % np.uint64(n_buckets)).astype(np.int64)
+    tb = exchange.bucket_ids(tt, ["token"], n_buckets)
     files = [
         f
         for b in sorted(set(tb.tolist()))
@@ -1304,7 +1283,7 @@ def postings_bm25(
     rows that can score > 0) co-shuffle ONCE by doc-hash bucket to pick
     up their dl from the doclen partitions written alongside. Cost is
     per-term postings volume, never per-corpus."""
-    from georay.ops import _group_reduce, _key_hash, top_k
+    from georay.ops import _group_reduce, top_k
 
     with open(os.path.join(postings_dir, "_POSTINGS.json")) as f:
         meta = json.load(f)
@@ -1322,7 +1301,7 @@ def postings_bm25(
     terms = pa.array(list(query_terms), pa.string())
     n_terms = len(query_terms)
     tt = pa.table({"token": pa.array(sorted(set(query_terms)), pa.string())})
-    tb = (_key_hash(tt, ["token"]) % np.uint64(n_buckets)).astype(np.int64)
+    tb = exchange.bucket_ids(tt, ["token"], n_buckets)
     files = [
         f
         for bkt in sorted(set(tb.tolist()))
@@ -1344,9 +1323,8 @@ def postings_bm25(
         out = pa.table(
             {id_col: sub[id_col], "code": sub["code"], "tf": sub["tf"]}
         )
-        h = _key_hash(out, [id_col])
         return out.append_column(
-            "_dbucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
+            "_dbucket", pa.array(exchange.bucket_ids(out, [id_col], n_buckets))
         )
 
     scan = rd.read_parquet(files, columns=["token", id_col, "tf"]).map_batches(
@@ -1431,10 +1409,7 @@ def postings_bm25(
             {id_col: pa.array(doc[starts]), "score": pa.array(s, pa.float64())}
         )
 
-    scored = (
-        scan.groupby("_dbucket")
-        .map_groups(score_bucket, batch_format="pyarrow")
-    )
+    scored = co_shuffle(scan, "_dbucket", score_bucket, coalesce=False)
     return top_k(scored, ["score", id_col], k, descending=[True, False])
 
 

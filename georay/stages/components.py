@@ -31,6 +31,7 @@ import ray
 import ray.data
 
 from georay import exchange
+from georay.exchange import co_shuffle
 
 
 def connected_components(
@@ -243,14 +244,12 @@ def connected_components_partitioned(
             pa.table({"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())})
         )
 
-    labels = (
+    labels = co_shuffle(
         edges.map_batches(
             emit0, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
-        .groupby("_b")
-        .map_groups(_min_per_node, batch_format="pyarrow")
-        .materialize()
-    )
+        ),
+        "_b", _min_per_node, coalesce=False,
+    ).materialize()
 
     from ray.data.aggregate import Sum
 
@@ -306,20 +305,14 @@ def connected_components_partitioned(
         lab_tagged = labels.map_batches(
             tag_labels, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
         )
-        cand = (
-            lab_tagged.union(ed_tagged)
-            .groupby("_b")
-            .map_groups(propagate, batch_format="pyarrow")
-        )
-        labels = (
+        cand = co_shuffle([lab_tagged, ed_tagged], "_b", propagate, coalesce=False)
+        labels = co_shuffle(
             cand.map_batches(
                 _rebucket_cand, batch_format="pyarrow", zero_copy_batch=True,
                 batch_size=None,
-            )
-            .groupby("_b")
-            .map_groups(_min_per_node, batch_format="pyarrow")
-            .materialize()
-        )
+            ),
+            "_b", _min_per_node, coalesce=False,
+        ).materialize()
         new_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
         if new_sum == prev_sum:
             break

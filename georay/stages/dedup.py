@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from georay import exchange
+from georay.exchange import co_shuffle
 from georay.stages.text import add_fingerprint, normalize_text
 
 # ------------------------------------------------------------------ exact
@@ -538,7 +539,7 @@ def _verify_pairs_broadcast(
             }
         )
 
-    return sides_ds.groupby("part").map_groups(verify_part, batch_format="pyarrow")
+    return co_shuffle(sides_ds, "part", verify_part, coalesce=False)
 
 
 def _verify_pairs_shuffle(
@@ -673,14 +674,12 @@ def minhash_dedup(
             }
         )
 
-    pairs = (
+    pairs = co_shuffle(
         ds.select_columns([id_col, text_col])
-        .map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-        .groupby("band")
-        .map_groups(
-            lambda g: _verified_band_pairs(g, text_col, id_col, shingle_k, threshold),
-            batch_format="pyarrow",
-        )
+        .map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True, batch_size=None),
+        "band",
+        lambda g: _verified_band_pairs(g, text_col, id_col, shingle_k, threshold),
+        coalesce=False,
     )
     labels = connected_components(pairs)
     nodes = labels["node"].to_numpy(zero_copy_only=False)
@@ -887,7 +886,7 @@ def hash64_band_candidates(
             }
         )
 
-    pairs = exploded.groupby("band").map_groups(pairs_of_band, batch_format="pyarrow")
+    pairs = co_shuffle(exploded, "band", pairs_of_band, coalesce=False)
     # cross-band duplicates of a pair carry the IDENTICAL exact Hamming
     # (popcount of the same two hashes), so a distributed min-aggregate IS
     # the dedup — the pair stream never lands on the driver (combine tree;
@@ -930,7 +929,7 @@ def doc_duplicate_spans(
     ``(id_col, n_spans, n_dup)`` for every doc with ≥ 1 window
     (len(text) ≥ width)."""
     from georay.index import _ragged_ranges
-    from georay.ops import _bytes_hash, _group_reduce, shuffle_coalesce, tree_sum
+    from georay.ops import _group_reduce, tree_sum
 
     if width <= 0 or stride <= 0:
         raise ValueError("width and stride must be positive")
@@ -960,16 +959,7 @@ def doc_duplicate_spans(
         ids = batch[id_col]
         if isinstance(ids, pa.ChunkedArray):
             ids = ids.combine_chunks()
-        h = _bytes_hash(grams)
-        return pa.table(
-            {
-                id_col: ids.take(pa.array(owner)),
-                "gram": grams,
-                "_bucket": pa.array(
-                    (h % np.uint64(n_buckets)).astype(np.int64)
-                ),
-            }
-        )
+        return pa.table({id_col: ids.take(pa.array(owner)), "gram": grams})
 
     stream = ds.map_batches(
         to_windows, batch_format="pyarrow", zero_copy_batch=True,
@@ -977,7 +967,6 @@ def doc_duplicate_spans(
     )
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         order = pc.sort_indices(group, sort_keys=[("gram", "ascending")])
         g = group.take(order)
         n = len(g)
@@ -1005,11 +994,7 @@ def doc_duplicate_spans(
              "dup": pa.array(vs["dup"])}
         )
 
-    parts = (
-        shuffle_coalesce(stream)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    parts = co_shuffle(stream, "gram", per_bucket, n_buckets=n_buckets, coalesce=True)
     return tree_sum(
         parts, id_col, {"tot": "n_spans", "dup": "n_dup"},
         int_cols=("tot", "dup"),
@@ -1209,8 +1194,4 @@ def ngram_jaccard_pairs(
     stream = ds.map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    return (
-        ops.shuffle_coalesce(stream)
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return co_shuffle(stream, "_b", per_bucket, coalesce=True)

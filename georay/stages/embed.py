@@ -18,6 +18,7 @@ import ray
 import ray.data
 
 from georay import exchange
+from georay.exchange import co_shuffle
 
 
 def _embedding_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -292,7 +293,7 @@ def embedding_neardup_pairs(
             }
         )
 
-    pairs = sigs.groupby("bucket").map_groups(pairs_of_bucket, batch_format="pyarrow")
+    pairs = co_shuffle(sigs, "bucket", pairs_of_bucket, coalesce=False)
     # cross-bucket duplicates of a pair carry the IDENTICAL exact cosine,
     # so a distributed max-aggregate IS the dedup — the pair stream never
     # lands on the driver (combine tree; distinct pairs are the bounded

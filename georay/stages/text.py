@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from georay import exchange
+from georay.exchange import co_shuffle
 
 
 TOKEN_RE = r"\S+"
@@ -685,7 +686,7 @@ def doc_rare_bigrams(
 
     Output: (id, n_bigrams, n_rare) for every doc with ≥ 1 bigram."""
     from georay.index import _ragged_ranges
-    from georay.ops import _bytes_hash, _group_reduce, shuffle_coalesce, tree_sum
+    from georay.ops import _group_reduce, tree_sum
 
     def to_bigrams(batch: pa.Table) -> pa.Table:
         txt = batch[text_col]
@@ -698,8 +699,7 @@ def doc_rare_bigrams(
             ids = ids.combine_chunks()
         if n < 2:
             return pa.table(
-                {id_col: ids.slice(0, 0), "bg": pa.array([], pa.string()),
-                 "_bucket": pa.array([], pa.int64())}
+                {id_col: ids.slice(0, 0), "bg": pa.array([], pa.string())}
             )
         owner, _ = _ragged_ranges(counts)
         ln = pc.utf8_length(toks).to_numpy(zero_copy_only=False)
@@ -710,16 +710,7 @@ def doc_rare_bigrams(
         left = toks.slice(0, n - 1).filter(mask)
         right = toks.slice(1).filter(mask)
         bg = pc.binary_join_element_wise(left, right, " ")
-        h = _bytes_hash(bg)
-        return pa.table(
-            {
-                id_col: ids.take(pa.array(owner[:-1][valid])),
-                "bg": bg,
-                "_bucket": pa.array(
-                    (h % np.uint64(n_buckets)).astype(np.int64)
-                ),
-            }
-        )
+        return pa.table({id_col: ids.take(pa.array(owner[:-1][valid])), "bg": bg})
 
     stream = ds.map_batches(
         to_bigrams, batch_format="pyarrow", zero_copy_batch=True,
@@ -727,7 +718,6 @@ def doc_rare_bigrams(
     )
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         order = pc.sort_indices(group, sort_keys=[("bg", "ascending")])
         g = group.take(order)
         n = len(g)
@@ -756,11 +746,7 @@ def doc_rare_bigrams(
              "rare": pa.array(vs["rare"])}
         )
 
-    parts = (
-        shuffle_coalesce(stream)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    parts = co_shuffle(stream, "bg", per_bucket, n_buckets=n_buckets, coalesce=True)
     return tree_sum(
         parts, id_col, {"tot": "n_bigrams", "rare": "n_rare"},
         int_cols=("tot", "rare"),
@@ -864,8 +850,6 @@ def source_ngram_overlap(
         final=final,
     )
 
-    from georay.analytics import _bucketed
-
     def per_gram_pairs(group: pa.Table) -> pa.Table:
         g = group["gram"].to_numpy(zero_copy_only=False)
         s = group["src"].to_numpy(zero_copy_only=False)
@@ -892,9 +876,7 @@ def source_ngram_overlap(
             }
         )
 
-    pairs = _bucketed(pres, ["gram"], n_buckets).map_groups(
-        per_gram_pairs, batch_format="pyarrow"
-    )
+    pairs = co_shuffle(pres, "gram", per_gram_pairs, n_buckets=n_buckets, coalesce=True)
     return tree_sum(
         pairs, ["src_a", "src_b"], {"partial_n": "n_shared"},
         int_cols=("partial_n",),
@@ -1533,12 +1515,7 @@ def editdist_join_qgram(
     partitioned double equi-join at billion-row scale.
 
     Returns (id_a, id_b, dist int64), id_a < id_b."""
-    from georay.ops import (
-        COMBINE_TARGET_ROWS,
-        _group_reduce,
-        _key_hash,
-        tree_sum,
-    )
+    from georay.ops import COMBINE_TARGET_ROWS, _group_reduce, tree_sum
 
     def project(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].cast(pa.int64())
@@ -1692,12 +1669,6 @@ def editdist_join_qgram(
             return empty
         return pa.concat_tables(parts)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch, ["g", "occ"])
-        return batch.append_column(
-            "_b", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def pair_partial(group: pa.Table) -> pa.Table:
         g = group["g"].to_numpy(zero_copy_only=False)
         occ = group["occ"].to_numpy(zero_copy_only=False)
@@ -1766,16 +1737,13 @@ def editdist_join_qgram(
         })
 
     shared = tree_sum(
-        base.map_batches(
-            grams, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        .map_batches(
-            add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        .groupby("_b")
-        .map_groups(pair_partial, batch_format="pyarrow"),
+        co_shuffle(
+            base.map_batches(
+                grams, batch_format="pyarrow", zero_copy_batch=True,
+                batch_size=None,
+            ),
+            ["g", "occ"], pair_partial, n_buckets=n_buckets, coalesce=False,
+        ),
         ["a", "b"], {"c": "c"}, int_cols=("c",),
     )
 

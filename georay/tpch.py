@@ -5307,8 +5307,8 @@ def q_image_patches(sf_dir: str):
             }
         )
 
-    per_img = patches.groupby("image_id").map_groups(
-        verify_grid, batch_format="pyarrow"
+    per_img = exchange.co_shuffle(
+        patches, "image_id", verify_grid, coalesce=False
     ).to_pandas()
     # independent metadata-only count: no decode involved
     meta = rd.read_parquet(cache, columns=["w", "h"]).map_batches(
@@ -7247,7 +7247,7 @@ def q_out_of_order(sf_dir: str):
     BACKWARD relative to arrival order (event_id) — the late-data rate
     a watermarking stage must absorb. One user-bucket shuffle, lexsort
     by arrival, vectorized shifted compare."""
-    from georay.analytics import _bucketed, _group_starts
+    from georay.analytics import _group_starts
 
     ds = rd.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_id", "ts"]
@@ -7283,9 +7283,7 @@ def q_out_of_order(sf_dir: str):
             }
         )
 
-    return _bucketed(ds, ["user_id"], 64).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return exchange.co_shuffle(ds, "user_id", per_bucket, n_buckets=64, coalesce=True)
 
 
 SQL_OUT_OF_ORDER = """
@@ -8127,12 +8125,10 @@ def q_speeding(sf_dir: str):
             }
         )
 
-    from georay.analytics import _bucketed
-
-    return _bucketed(
+    return exchange.co_shuffle(
         ds.select_columns(["user_id", "ts", "event_id", "lon", "lat"]),
-        ["user_id"], 64,
-    ).map_groups(per_bucket, batch_format="pyarrow")
+        "user_id", per_bucket, n_buckets=64, coalesce=True,
+    )
 
 
 SQL_SPEEDING = f"""
@@ -11470,12 +11466,6 @@ def q_tpch_q21(sf_dir: str):
     pairs = li.map_batches(
         to_pairs, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    nb = np.uint64(64)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        o = batch["o"].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = ops._mix64(o.view(np.uint64).copy())
-        return batch.append_column("_b", pa.array((h % nb).astype(np.int64)))
 
     def per_bucket(group: pa.Table) -> pa.Table:
         o = group["o"].to_numpy(zero_copy_only=False)
@@ -11505,16 +11495,7 @@ def q_tpch_q21(sf_dir: str):
         blamed = np.repeat(ps[hit], late_rows[hit])
         return pa.table({"s_suppkey": pa.array(blamed, pa.int64())})
 
-    blamed = (
-        ops.shuffle_coalesce(
-            pairs.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None,
-            )
-        )
-        .groupby("_b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    blamed = exchange.co_shuffle(pairs, "o", per_bucket, n_buckets=64, coalesce=True)
     counts = ops.salted_count(blamed, "s_suppkey", count_alias="numwait")
     import pyarrow.parquet as _pq
 
@@ -15778,11 +15759,7 @@ def q_tile_mosaic(sf_dir: str):
             }
         )
 
-    from georay.analytics import _bucketed
-
-    merged = _bucketed(parts, ["cell"], 64).map_groups(
-        merge, batch_format="pyarrow"
-    )
+    merged = exchange.co_shuffle(parts, "cell", merge, n_buckets=64, coalesce=True)
     return ops.top_k(merged, ["n_images", "cell"], 10,
                      descending=[True, False])
 
@@ -16526,12 +16503,6 @@ def q_day_overlap(sf_dir: str):
     ).select_columns(["day", "user_id"]).materialize()
 
     # (1) per-user consecutive-day pairs -> intersection counts
-    def bucket_user(batch: pa.Table) -> pa.Table:
-        h = ops._key_hash(batch, ["user_id"])
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(64)).astype(np.int64))
-        )
-
     def inter_bucket(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy(zero_copy_only=False)
         d = group["day"].to_numpy(zero_copy_only=False)
@@ -16547,10 +16518,7 @@ def q_day_overlap(sf_dir: str):
         )
 
     inter = ops.tree_sum(
-        ops.shuffle_coalesce(
-            du.map_batches(bucket_user, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None)
-        ).groupby("_bucket").map_groups(inter_bucket, batch_format="pyarrow"),
+        exchange.co_shuffle(du, "user_id", inter_bucket, n_buckets=64, coalesce=True),
         ["day"], {"partial_i": "n_inter"}, int_cols=("partial_i",),
     )
 

@@ -2278,3 +2278,150 @@ def test_broadcast_and_collect_only_in_exchange():
 
         visit(tree, None)
     assert not bad, bad
+
+
+def test_co_shuffle_only_in_exchange():
+    """Every key-bucket co-shuffle goes through ``exchange.co_shuffle``:
+    no other module calls ``map_groups`` or ``shuffle_coalesce``, and the
+    retired private copy ``_bucketed`` does not come back."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "georay"
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            else:
+                continue
+            if name == "_bucketed":
+                bad.append(f"{rel}:{getattr(node, 'lineno', '?')} _bucketed")
+            if rel == "exchange.py":
+                continue
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if callee == "shuffle_coalesce" or (
+                    callee == "map_groups" and isinstance(f, ast.Attribute)
+                ):
+                    bad.append(f"{rel}:{node.lineno} {callee}")
+    assert not bad, bad
+
+
+def _key_side_counter():
+    """A group fn emitting one row per (k, side) in the group with its
+    row count. Built in a closure so Ray ships it by value (workers
+    cannot import this test module)."""
+
+    def per_key_side_counts(group: pa.Table) -> pa.Table:
+        k = group["k"].to_numpy(zero_copy_only=False)
+        side = group["side"].to_numpy(zero_copy_only=False)
+        pairs, counts = np.unique(np.stack([k, side]), axis=1, return_counts=True)
+        return pa.table({
+            "k": pa.array(pairs[0], pa.int64()),
+            "side": pa.array(pairs[1], pa.int64()),
+            "n": pa.array(counts, pa.int64()),
+        })
+
+    return per_key_side_counts
+
+
+def _side_table(keys, side: int) -> pa.Table:
+    keys = np.asarray(keys, np.int64)
+    return pa.table({
+        "k": pa.array(keys, pa.int64()),
+        "side": pa.array(np.full(keys.shape[0], side), pa.int64()),
+    })
+
+
+@pytest.mark.parametrize("n_buckets", [None, 8])
+def test_co_shuffle_two_sides_one_empty(n_buckets, ray_session):
+    """A two-sided co-shuffle whose right side is empty (Ray 2.49 drops
+    the schema of empty partitions in ``Dataset.join``): every key of the
+    other side still lands whole in one ``fn`` call."""
+    import pandas as pd
+    import ray.data as rd
+
+    from georay import exchange
+
+    rng = np.random.default_rng(3)
+    left = _side_table(rng.integers(0, 50, 400), 0)
+    right = _side_table([], 1)
+    out = exchange.co_shuffle(
+        [rd.from_arrow(left).repartition(4), rd.from_arrow(right)],
+        "k", _key_side_counter(), n_buckets=n_buckets, coalesce=True,
+    ).to_pandas().sort_values(["k", "side"]).reset_index(drop=True)
+    ref = (
+        pd.concat([left.to_pandas(), right.to_pandas()])
+        .groupby(["k", "side"]).size().rename("n").reset_index()
+    )
+    pd.testing.assert_frame_equal(out, ref, check_dtype=False)
+
+
+def test_co_shuffle_one_hot_key(ray_session):
+    """All rows on one key: one bucket receives them all, in one call."""
+    import ray.data as rd
+
+    from georay import exchange
+
+    v = np.arange(1000, dtype=np.int64)
+    t = pa.table({"k": pa.array(np.full(1000, 7), pa.int64()), "v": pa.array(v)})
+
+    def per_call(group: pa.Table) -> pa.Table:
+        return pa.table({
+            "rows": pa.array([len(group)], pa.int64()),
+            "sum": pa.array([int(np.sum(group["v"].to_numpy()))], pa.int64()),
+            "cols": pa.array([",".join(group.column_names)]),
+        })
+
+    out = exchange.co_shuffle(
+        rd.from_arrow(t).repartition(8), "k", per_call, n_buckets=16,
+        coalesce=True,
+    ).to_pandas()
+    assert out["rows"].tolist() == [1000]
+    assert out["sum"].tolist() == [int(v.sum())]
+    assert out["cols"].tolist() == ["k,v"]  # the bucket column is dropped
+
+
+@pytest.mark.parametrize("n_buckets", [None, 8])
+def test_co_shuffle_empty_input(n_buckets, ray_session):
+    """No rows in, no rows out, and ``fn`` is never asked to invent a
+    group — for one side and for two."""
+    import ray.data as rd
+
+    from georay import exchange
+
+    for sides in ([_side_table([], 0)], [_side_table([], 0), _side_table([], 1)]):
+        ds = [rd.from_arrow(t) for t in sides]
+        out = exchange.co_shuffle(
+            ds, "k", _key_side_counter(), n_buckets=n_buckets, coalesce=True,
+        )
+        assert out.count() == 0
+
+
+def test_co_shuffle_unhashable_key_names_columns(ray_session):
+    """A key type without a bucket hash (here float64) fails with a
+    TypeError that names the key column and its type, not with a
+    ``NoneType % uint64`` error from deep inside the task. Ray Data
+    wraps map errors in ``UserCodeException``; the TypeError line is in
+    its message."""
+    import ray.data as rd
+
+    from georay import analytics
+
+    t = pa.table({
+        "u": pa.array([1.0, 2.0, 1.0]),
+        "ts": pa.array([1, 2, 3], pa.int64()),
+        "e": pa.array(["a", "b", "a"]),
+    })
+    with pytest.raises(Exception) as err:
+        analytics.funnel(rd.from_arrow(t), "u", "ts", "e", ["a", "b"]).take_all()
+    assert "TypeError: key columns ['u'] (u: double) have no bucket hash" in str(err.value)

@@ -1276,3 +1276,24 @@ def test_markov_transitions_pins(ray_session):
     got = {(r.from_state, r.to_state): r.c for r in out.itertuples()}
     # user1: a->b, b->a; user2's pair has a NULL end (drops); user3 lone
     assert got == {("a", "b"): 1, ("b", "a"): 1}
+
+    # NULL keys form ONE partition, as under the SQL twin's PARTITION BY
+    from georay import tpch
+
+    ev = pa.table({
+        "user_id": pa.array([None, 1, None, 1, None, 2, None, 2], pa.int64()),
+        "ts": pa.array([5, 1, 2, 2, 9, 1, 2, 3], pa.int64()),
+        "event_id": pa.array([1, 2, 3, 4, 5, 6, 7, 8], pa.int64()),
+        "event_type": pa.array(["a", "b", "c", "a", "b", "c", "a", "a"]),
+    })
+    out = ops.markov_transitions(
+        rd.from_arrow(ev), key="user_id", ts="ts", state_col="event_type",
+        order_tiebreak="event_id",
+    ).to_pandas()
+    got = {(r.from_state, r.to_state): r.c for r in out.itertuples()}
+    events = ev  # noqa: F841 — the table DuckDB's SQL reads
+    ref = duckdb.sql(tpch.SQL_MARKOV).df()
+    want = {(r.from_state, r.to_state): r.c for r in ref.itertuples()}
+    # NULL-key run by (ts, event_id): c -> a -> a -> b; u1: b -> a; u2: c -> a
+    assert want == {("c", "a"): 2, ("a", "a"): 1, ("a", "b"): 1, ("b", "a"): 1}
+    assert got == want
