@@ -209,7 +209,6 @@ def cooccurrence_edges(
     n_buckets: int = 64,
     max_group_size: int | None = None,
     min_support: int = 1,
-    final: str = "tree",
     keep_support: bool = False,
 ) -> ray.data.Dataset:
     """Distinct undirected co-occurrence edges ``(a < b)`` between items
@@ -223,8 +222,8 @@ def cooccurrence_edges(
     deduped and expanded to pairs with one lexsort + the ragged pair
     enumerator (zero per-group Python — a pair occurrence per distinct
     group is counted at most once); (2) pair-occurrence counts merge
-    through the combine tree (``final="shuffle"`` for unbounded pair
-    cardinality) and the support filter drops the long random tail.
+    through the combine tree (the distinct pairs must fit one worker)
+    and the support filter drops the long random tail.
     Groups larger than ``max_group_size`` are DROPPED (their pair count
     is quadratic — replicate in SQL with ``HAVING count(*) <= cap``)."""
     proj = ds.select_columns([group_col, item_col])
@@ -272,8 +271,7 @@ def cooccurrence_edges(
 
     pairs = co_shuffle(proj, group_col, per_bucket, n_buckets=n_buckets, coalesce=True)
     counted = tree_sum(
-        pairs, ["a", "b"], {"partial_n": "support"}, int_cols=("partial_n",),
-        final=final,
+        pairs, ["a", "b"], {"partial_n": "support"}, int_cols=("partial_n",)
     )
     if min_support > 1:
         counted = counted.filter(
@@ -673,10 +671,7 @@ def triangle_count(
         v = batch["partial_n"].to_numpy(zero_copy_only=False)
         return pa.table({"n_triangles": pa.array([int(v.sum())], pa.int64())})
 
-    return parts.map_batches(
-        merge, batch_format="pyarrow", zero_copy_batch=True, batch_size=1 << 40,
-        num_cpus=0.9,
-    )
+    return exchange.gather(parts, merge)
 
 
 def degree_table(edges: ray.data.Dataset) -> ray.data.Dataset:
@@ -4475,10 +4470,7 @@ def market_basket(
             }
         )
 
-    return counted.map_batches(
-        finish, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(counted, finish)
 
 
 def hits_scores(

@@ -1,6 +1,19 @@
 """Data movement between the driver and Ray Data tasks (SCALING.md):
-the key-bucket co-shuffle, the broadcast handle and the driver collect.
-The combine tree is ``ops.tree_reduce``.
+the combine tree, the key-bucket co-shuffle, the broadcast handle and
+the driver collect.
+
+- ``combine(parts, fn)`` and ``gather(ds, fn)`` are the combine tree:
+  ``gather(combine(parts, f), f)`` folds many small partial blocks with
+  ``f`` in tasks of ``COMBINE_TARGET_ROWS`` rows, then runs ``f`` once
+  over every remaining row in one task (``ops.tree_reduce`` is the
+  keyed form). A finish step belongs inside the gather fn. The two
+  stages ask for 0.5 and 0.9 CPUs on purpose: Ray Data fuses adjacent
+  map stages whose resource requests are equal, so a one-task stage
+  at the default 1 CPU fuses with a default-CPU map before it and runs
+  that whole map as one task. 0.5 and 0.9 differ from the default and
+  from each other, so the map before a tree keeps its parallelism,
+  and a second gather after a gather (equal requests) fuses into the
+  same task.
 
 - ``co_shuffle(sides, keys, fn, ...)`` brings every row with the same key
   to one ``fn`` call: the only ``groupby(...).map_groups`` in georay.
@@ -35,6 +48,10 @@ import pyarrow.compute as pc
 
 import ray
 from ray.data.block import BlockAccessor
+
+# rows per combine task when coalescing partial blocks ahead of the final
+# merge; sized so one combined block is a few MB of (key, partials)
+COMBINE_TARGET_ROWS = 1 << 18
 
 # Fetched values kept per worker process, least recently read evicted
 # first. An entry can pin an object-store object for as long as the
@@ -98,6 +115,28 @@ def collect(ds: ray.data.Dataset) -> pa.Table:
     if full:
         return pa.concat_tables(full)
     return next((t for t in tables if t.num_columns), pa.table({}))
+
+
+# ---------------------------------------------------------------- combine tree
+
+def combine(parts: ray.data.Dataset, fn) -> ray.data.Dataset:
+    """The combine stage: ``fn(batch) -> pa.Table`` over batches of
+    ``COMBINE_TARGET_ROWS`` rows, so many small partial blocks fold in
+    one task. Its output is partials again: the gather folds them."""
+    return parts.map_batches(
+        fn, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=COMBINE_TARGET_ROWS, num_cpus=0.5,
+    )
+
+
+def gather(ds: ray.data.Dataset, fn) -> ray.data.Dataset:
+    """The one merge task: ``fn`` sees every row of ``ds`` in one batch.
+    On an input with no rows ``fn`` is not called and the result has no
+    rows, so a caller that needs a typed empty result builds its own."""
+    return ds.map_batches(
+        fn, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=1 << 40, num_cpus=0.9,
+    )
 
 
 # ------------------------------------------------------ key-bucket co-shuffle

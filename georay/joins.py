@@ -1124,11 +1124,7 @@ def _ring_knn(
     def merge(cand: ray.data.Dataset, finish) -> ray.data.Dataset:
         """Combine tree + pid-bucket merge of candidate/state rows."""
         return co_shuffle(
-            cand.map_batches(
-                lambda b: _topk_reduce(b, k),
-                batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=ops.COMBINE_TARGET_ROWS, num_cpus=0.5,
-            ).map_batches(
+            exchange.combine(cand, lambda b: _topk_reduce(b, k)).map_batches(
                 add_pb, batch_format="pyarrow", zero_copy_batch=True,
                 batch_size=None,
             ),

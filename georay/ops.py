@@ -389,11 +389,6 @@ def dedup_exact(
 
 # ------------------------------------------------------- salted aggregate
 
-# rows per combine task when coalescing partial blocks ahead of the final
-# merge; sized so one combined block is a few MB of (key, partials)
-COMBINE_TARGET_ROWS = 1 << 18
-
-
 def _quantize_i64(x: np.ndarray, quantize: float, op: str) -> np.ndarray:
     """Exact int64 quantization shared by every integer-sufficient-stat
     op: ``floor(x·q + 0.5)``. Raises on non-finite payloads — NaN/Inf →
@@ -475,12 +470,12 @@ def tree_reduce(
 ) -> ray.data.Dataset:
     """Combine-tree grouped reduction, the engine behind ``tree_sum``:
     any associative commutative ufunc, or a ``{src_col: ufunc}`` dict for
-    per-column reducers. A combine stage coalesces the tiny per-batch
-    partials, then ONE merge task emits the exact per-key result at
-    numpy rate — no sort-shuffle barrier. Requires distinct keys × row
-    width to fit one worker (true for label tables, top-k partials,
-    bounded-cardinality histograms). ``int_cols`` are cast to int64 in
-    the merge output."""
+    per-column reducers. ``exchange.combine`` coalesces the tiny
+    per-batch partials, then ``exchange.gather``'s ONE merge task emits
+    the exact per-key result at numpy rate — no sort-shuffle barrier.
+    Requires distinct keys × row width to fit one worker (true for label
+    tables, top-k partials, bounded-cardinality histograms). ``int_cols``
+    are cast to int64 in the merge output."""
     key_list = [keys] if isinstance(keys, str) else list(keys)
 
     def reduce_batch(batch: pa.Table, rename: bool) -> pa.Table:
@@ -495,19 +490,9 @@ def tree_reduce(
             cols[out if rename else src] = pa.array(v)
         return pa.table(cols)
 
-    combined = parts.map_batches(
-        lambda b: reduce_batch(b, rename=False),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS,
-        num_cpus=0.5,
-    )
-    return combined.map_batches(
+    return exchange.gather(
+        exchange.combine(parts, lambda b: reduce_batch(b, rename=False)),
         lambda b: reduce_batch(b, rename=True),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=1 << 40,
-        num_cpus=0.9,
     )
 
 
@@ -516,56 +501,35 @@ def tree_sum(
     keys: str | list[str],
     sum_map: dict[str, str],
     int_cols: tuple = (),
-    final: str = "tree",
 ) -> ray.data.Dataset:
     """Merge per-batch partial-sum rows into exact per-key totals.
 
     ``partials`` holds one small row per (batch, key); ``sum_map`` maps
-    each partial column to its output name.
-
-    Two physical plans:
-    - ``"tree"`` (default): a combine stage coalesces the tiny partial
-      blocks (many per task, ``num_cpus`` offset so it does NOT fuse with
-      — and throttle — the upstream chain), then ONE merge task emits the
-      exact result via lexsort+reduceat (numpy-rate). No all-to-all
-      shuffle; requires the RESULT (distinct keys × ~24 B) to fit one
-      worker's heap — true for every cell/tile/flag key here (≤ a few
-      10⁷ keys). The wide input never concentrates: only combined
-      partials do. This sidesteps the sort-shuffle barrier whose cost is
-      ~100 ms/task × (blocks_in × partitions) slices and whose aggregate
-      row rate is Python-bound (~45k rows/s measured).
-    - ``"shuffle"``: ``groupby(keys).aggregate(Sum...)`` — for unbounded
-      key cardinality.
+    each partial column to its output name. The combine tree
+    (``tree_reduce``) coalesces the tiny partial blocks, then ONE merge
+    task emits the exact result via lexsort+reduceat (numpy-rate). No
+    all-to-all shuffle; requires the RESULT (distinct keys × ~24 B) to
+    fit one worker's heap — true for every cell/tile/flag key here (≤ a
+    few 10⁷ keys). The wide input never concentrates: only combined
+    partials do. This sidesteps the sort-shuffle barrier whose cost is
+    ~100 ms/task × (blocks_in × partitions) slices and whose aggregate
+    row rate is Python-bound (~45k rows/s measured).
     """
-    key_list = [keys] if isinstance(keys, str) else list(keys)
-
-    if final == "shuffle":
-        from ray.data.aggregate import Sum
-
-        aggs = [Sum(src, alias_name=out) for src, out in sum_map.items()]
-        return partials.groupby(key_list[0] if len(key_list) == 1 else key_list).aggregate(*aggs)
-    return tree_reduce(partials, key_list, sum_map, int_cols=int_cols)
+    return tree_reduce(partials, keys, sum_map, int_cols=int_cols)
 
 
 def salted_count(
     ds: ray.data.Dataset,
     key: str | list[str],
-    n_salt: int = 1,
     agg_cols: dict[str, str] | None = None,
     count_alias: str = "count",
-    final: str = "tree",
 ) -> ray.data.Dataset:
     """B8: skew-safe grouped count/sum over one or more key columns.
 
     Stage 1 pre-aggregates inside each batch (map-side combine) — a
     Zipf-hot key contributes at most one partial row per block, which
-    already neutralizes key skew for these ASSOCIATIVE aggregates, so
-    ``n_salt`` defaults to 1. Raise it when the per-key downstream work
-    itself is irreducible (e.g. a ``map_groups`` assembler), spreading a
-    hot key over ``n_salt`` reducers; the merge stays exact either way.
-
-    Stage 2 merges the tiny partials — see ``tree_sum`` for the two
-    physical plans (``final="tree"`` default / ``"shuffle"``).
+    neutralizes key skew for these ASSOCIATIVE aggregates. Stage 2
+    merges the tiny partials through the combine tree (``tree_sum``).
 
     agg_cols: {column: "sum"} additional sums to carry.
     """
@@ -575,15 +539,13 @@ def salted_count(
     def partial(batch: pa.Table) -> pa.Table:
         karrs = [batch[k].to_numpy(zero_copy_only=False) for k in key_list]
         n = karrs[0].shape[0]
-        salt = (np.arange(n) % n_salt).astype(np.int64)
         varrs = {"partial_count": np.ones(n, dtype=np.int64)}
         for c, how in agg_cols.items():
             varrs[f"partial_{how}_{c}"] = batch[c].to_numpy(
                 zero_copy_only=False
             ).astype(np.float64)
-        ks, vs = _group_reduce(karrs + [salt], varrs)
-        cols = {k: pa.array(a) for k, a in zip(key_list, ks[:-1])}
-        cols["_salt"] = pa.array(ks[-1], pa.int64())
+        ks, vs = _group_reduce(karrs, varrs)
+        cols = {k: pa.array(a) for k, a in zip(key_list, ks)}
         for name, v in vs.items():
             cols[name] = pa.array(v)
         return pa.table(cols)
@@ -594,12 +556,7 @@ def salted_count(
     sum_map = {"partial_count": count_alias}
     for c, how in agg_cols.items():
         sum_map[f"partial_{how}_{c}"] = f"{how}_{c}"
-    # the tree path's reduce rebuilds columns from key_list + sum_map, so
-    # _salt is dropped there automatically; combining across salts early is
-    # exact for associative sums
-    return tree_sum(
-        partials, key_list, sum_map, int_cols=("partial_count",), final=final
-    )
+    return tree_sum(partials, key_list, sum_map, int_cols=("partial_count",))
 
 
 def _order_key(batch: pa.Table, c: str, d: bool) -> np.ndarray:
@@ -643,7 +600,7 @@ def top_k(
     ``"tree"`` (default): each block keeps its own top-k (vectorized
     lexsort; descending integer keys flipped via bitwise NOT — an
     overflow-free monotonic inversion, safe for INT64_MIN sentinels),
-    a combine stage coalesces the k-row partials, then ONE merge task
+    then the combine tree (``exchange.combine`` / ``exchange.gather``)
     emits the exact sorted result — no Sort barrier (the global top-k is
     contained in the union of per-block top-ks). Requires k × blocks to
     fit one worker — true for every georay top-k (k ≤ a few thousand).
@@ -669,20 +626,7 @@ def top_k(
     part = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    comb = part.map_batches(
-        partial,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS,
-        num_cpus=0.5,
-    )
-    return comb.map_batches(
-        partial,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=1 << 40,
-        num_cpus=0.9,
-    )
+    return exchange.gather(exchange.combine(part, partial), partial)
 
 
 def _value_histogram(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
@@ -760,10 +704,7 @@ def _histogram_quantiles(
             {"q": pa.array(qs, pa.float64()), "v": pa.array(out_v, pa.float64())}
         )
 
-    return hist.map_batches(
-        pick, batch_format="pyarrow", zero_copy_batch=True, batch_size=1 << 40,
-        num_cpus=0.9,
-    )
+    return exchange.gather(hist, pick)
 
 
 def exact_quantiles(
@@ -1362,19 +1303,8 @@ def profile_columns(
             }
         )
 
-    parts = ds.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
-    comb = parts.map_batches(
-        combine, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS, num_cpus=0.5,
-    )
-    merged = comb.map_batches(
-        combine, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40, num_cpus=0.9,
-    )
-
     def finish(batch: pa.Table) -> pa.Table:
+        batch = combine(batch)
         names = batch["column"].to_pylist()
         is_num = [numeric[c] for c in names]
         vmin = batch["vmin"].to_numpy(zero_copy_only=False)
@@ -1397,9 +1327,10 @@ def profile_columns(
             }
         )
 
-    return merged.map_batches(
-        finish, batch_format="pyarrow", zero_copy_batch=True, batch_size=1 << 40
+    parts = ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
+    return exchange.gather(exchange.combine(parts, combine), finish)
 
 
 def explode_list(
@@ -2521,12 +2452,7 @@ def hll_distinct(
             }
         )
 
-    return merged.map_batches(
-        finalize,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(merged, finalize)
 
 
 def heavy_hitters(
@@ -2587,14 +2513,9 @@ def heavy_hitters(
     parts = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    comb = parts.map_batches(
-        combine, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS, num_cpus=0.5,
+    cand_tbl = exchange.collect(
+        exchange.gather(exchange.combine(parts, combine), combine)
     )
-    cand_tbl = exchange.collect(comb.map_batches(
-        combine, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40, num_cpus=0.9,
-    ))
     if not cand_tbl.num_rows:  # empty input: no candidates, no hitters
         import ray.data as _rd
 
@@ -2773,21 +2694,8 @@ def grouped_quantiles(
             {key: g[key], "v": g["v"], out_name: g["partial_n_sum"]}
         )
 
-    parts = ds.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
-    comb = parts.map_batches(
-        lambda b: combine(b, "partial_n"),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS, num_cpus=0.5,
-    )
-    hist = comb.map_batches(
-        lambda b: combine(b, "n"),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40, num_cpus=0.9,
-    )
-
     def pick(batch: pa.Table) -> pa.Table:
+        batch = combine(batch, "n")
         order = pc.sort_indices(
             batch, sort_keys=[(key, "ascending"), ("v", "ascending")]
         )
@@ -2823,9 +2731,11 @@ def grouped_quantiles(
             }
         )
 
-    return hist.map_batches(
-        pick, batch_format="pyarrow", zero_copy_batch=True, batch_size=1 << 40,
-        num_cpus=0.9,
+    parts = ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    )
+    return exchange.gather(
+        exchange.combine(parts, lambda b: combine(b, "partial_n")), pick
     )
 
 
@@ -3301,19 +3211,30 @@ def hll_merge_estimate(partials) -> float:
 
 
 def approx_distinct(ds: ray.data.Dataset, col: str) -> float:
-    """Approximate COUNT DISTINCT via per-batch HLL sketches merged in a
-    tiny final step (the mergeable-sketch aggregation pattern; ~1.6%
-    standard error at 2^12 registers)."""
+    """Approximate COUNT DISTINCT via per-batch HLL sketches max-merged
+    through the combine tree, so the driver receives one 4 KB register
+    row (the mergeable-sketch aggregation pattern; ~1.6% standard error
+    at 2^12 registers). Empty input estimates 0.0."""
 
     def partial(batch: pa.Table) -> pa.Table:
         regs = hll_partial(batch[col].to_numpy(zero_copy_only=False))
         return pa.table({"regs": pa.array([regs.tobytes()], pa.binary())})
 
+    def max_regs(batch: pa.Table) -> pa.Table:
+        regs = np.frombuffer(
+            b"".join(batch["regs"].to_pylist()), dtype=np.int8
+        ).reshape(-1, 1 << _HLL_P).max(axis=0)
+        return pa.table({"regs": pa.array([regs.tobytes()], pa.binary())})
+
     parts = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).take_all()
+    )
+    merged = exchange.collect(
+        exchange.gather(exchange.combine(parts, max_regs), max_regs)
+    )
     return hll_merge_estimate(
-        [np.frombuffer(p["regs"], dtype=np.int8) for p in parts]
+        [np.frombuffer(r, dtype=np.int8) for r in merged["regs"].to_pylist()]
+        if merged.num_rows else []
     )
 
 
@@ -5148,10 +5069,12 @@ def rollup_sum(
     """SQL ``GROUP BY ROLLUP(keys...)`` with SUM: totals at every prefix
     granularity (k1..kn), (k1..kn-1), …, (), rolled-up key columns set
     to NULL. One distributed pass produces the finest-level exact totals
-    (map-side combine + tree merge — no all-to-all shuffle); every
-    coarser level re-aggregates the SMALL finest table in one task, so
-    the wide input is read exactly once. Keys must be non-null (SQL
-    ROLLUP's NULL marker is otherwise ambiguous)."""
+    (map-side combine + combine tree); every coarser level re-aggregates
+    the SMALL finest table inside the tree's one merge task
+    (``exchange.gather``), so the wide input is read exactly once and
+    the plan has no all-to-all barrier. Keys must be non-null (SQL
+    ROLLUP's NULL marker is otherwise ambiguous). Empty input gives no
+    rows, where SQL gives one grand-total row."""
 
     def partial(batch: pa.Table) -> pa.Table:
         karrs = [batch[k].to_numpy(zero_copy_only=False) for k in keys]
@@ -5186,9 +5109,7 @@ def rollup_sum(
             out.append(g.select(batch.column_names))
         return pa.concat_tables(out)
 
-    return finest.repartition(1).map_batches(
-        expand, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
+    return exchange.gather(finest, expand)
 
 
 def cube_sum(
@@ -5200,8 +5121,9 @@ def cube_sum(
     """SQL ``GROUP BY CUBE(keys...)`` with SUM: totals at EVERY subset
     of the keys (2^n grouping sets), rolled-up columns NULL. Same
     physics as rollup_sum — one distributed pass to the finest level,
-    then each subset re-aggregates the small finest table in one task.
-    Keys must be non-null."""
+    then each subset re-aggregates the small finest table inside the
+    tree's merge task; no all-to-all barrier. Keys must be non-null.
+    Empty input gives no rows, where SQL gives one grand-total row."""
 
     def partial(batch: pa.Table) -> pa.Table:
         karrs = [batch[k].to_numpy(zero_copy_only=False) for k in keys]
@@ -5240,9 +5162,7 @@ def cube_sum(
             out.append(g.select(batch.column_names))
         return pa.concat_tables(out)
 
-    return finest.repartition(1).map_batches(
-        expand, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
+    return exchange.gather(finest, expand)
 
 
 def semi_join_bloom(
@@ -5510,11 +5430,12 @@ def grouping_sets_sum(
     """SQL ``GROUP BY GROUPING SETS (...)`` with SUM: totals at exactly
     the requested grouping sets (each a subset of ``keys``), rolled-up
     columns NULL. Same physics as rollup_sum / cube_sum — one
-    distributed pass to the finest level (map-side combine + tree
-    merge, no all-to-all shuffle), then each requested set
-    re-aggregates the SMALL finest table in one task. Keys must be
-    non-null; duplicate sets produce duplicate result rows (SQL bag
-    semantics)."""
+    distributed pass to the finest level (map-side combine + combine
+    tree), then each requested set re-aggregates the SMALL finest
+    table inside the tree's merge task; no all-to-all barrier. Keys
+    must be non-null; duplicate sets produce duplicate result rows (SQL
+    bag semantics). Empty input gives no rows, where SQL gives a
+    grand-total row for a ``()`` set."""
     keyset = set(keys)
     for s in sets:
         if not set(s) <= keyset:
@@ -5554,9 +5475,7 @@ def grouping_sets_sum(
             out.append(g.select(batch.column_names))
         return pa.concat_tables(out)
 
-    return finest.repartition(1).map_batches(
-        expand, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
+    return exchange.gather(finest, expand)
 
 
 def value_histogram(
@@ -5731,9 +5650,9 @@ def grouped_mode(
     count_alias: str = "n",
 ) -> ray.data.Dataset:
     """Per-key mode (most frequent value; ties → smallest value): one
-    distributed pass to (key, value) counts (map-side combine + tree
-    merge), then the small count table picks each key's winner in one
-    vectorized task."""
+    distributed pass to (key, value) counts (map-side combine + combine
+    tree), then the tree's merge task picks each key's winner from the
+    small count table, vectorized; no all-to-all barrier."""
 
     def partial(batch: pa.Table) -> pa.Table:
         k = batch[key].to_numpy(zero_copy_only=False)
@@ -5762,9 +5681,7 @@ def grouped_mode(
              count_alias: pa.array(cs[first])}
         )
 
-    return counts.repartition(1).map_batches(
-        pick, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    )
+    return exchange.gather(counts, pick)
 
 
 def set_op_distinct(
@@ -6759,10 +6676,7 @@ def skyline2(
         local_front, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
     # final reduce: one task over the union of local fronts
-    return fronts.map_batches(
-        local_front, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40, num_cpus=0.9,
-    )
+    return exchange.gather(fronts, local_front)
 
 
 def ohlc_bars(
@@ -8450,12 +8364,7 @@ def ks_statistic(
             }
         )
 
-    # the combine tree's final merge is ONE task, so the sweep sees the
-    # complete histogram in a single batch
-    return hist.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(hist, sweep)
 
 
 def window_locf(
@@ -8567,11 +8476,7 @@ def grouped_weighted_median(
             }
         )
 
-    # the combine tree's final merge is one task → complete histogram
-    return hist.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(hist, sweep)
 
 
 def survival_risk_table(
@@ -8631,10 +8536,7 @@ def survival_risk_table(
             }
         )
 
-    return hist.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(hist, sweep)
 
 
 def window_distinct_count(
@@ -8812,10 +8714,7 @@ def grouped_ks_vs_rest(
             }
         )
 
-    return hist.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(hist, sweep)
 
 
 def pr_curve(
@@ -8888,10 +8787,7 @@ def pr_curve(
             }
         )
 
-    return hist.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(hist, sweep)
 
 
 def calibration_bins(
@@ -9006,10 +8902,7 @@ def contingency_profile(
             }
         )
 
-    return cells_t.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(cells_t, sweep)
 
 
 def activity_islands(
@@ -9254,10 +9147,7 @@ def cross_corr_daily(
             }
         )
 
-    return hist.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(hist, sweep)
 
 
 def seasonal_dow_anomaly(
@@ -9347,10 +9237,7 @@ def seasonal_dow_anomaly(
             }
         )
 
-    return daily.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(daily, sweep)
 
 
 def interarrival_stats(

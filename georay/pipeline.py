@@ -459,10 +459,10 @@ def validate_images(images_dir: str, concurrency=(2, 8)) -> dict:
     """Corpus-wide image invariant, STREAMING: the per-row validation
     output never reaches the driver — each batch folds to ONE
     (rows, pixels_ok, min_psnr) partial right behind the decode actors,
-    and the partials merge through a two-stage combine tree
-    (``ops.tree_sum``'s shape). The driver receives exactly one row, so
-    the check holds at any corpus size (r3 verdict: ``out.to_pandas()``
-    of one row per image was a driver OOM at scale)."""
+    and the partials merge through the combine tree
+    (``exchange.combine`` / ``exchange.gather``). The driver receives
+    exactly one row, so the check holds at any corpus size (r3 verdict:
+    ``out.to_pandas()`` of one row per image was a driver OOM at scale)."""
     # prune at the read: the validator touches 7 of the 9 columns
     # (phash and geotag never leave storage)
     ds = rd.read_parquet(
@@ -515,21 +515,10 @@ def validate_images(images_dir: str, concurrency=(2, 8)) -> dict:
             }
         )
 
-    one = (
-        out.map_batches(
-            fold, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        .map_batches(
-            fold, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=ops.COMBINE_TARGET_ROWS, num_cpus=0.5,
-        )
-        .map_batches(
-            fold, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=1 << 40, num_cpus=0.9,
-        )
-        .take_all()
+    parts = out.map_batches(
+        fold, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
+    one = exchange.gather(exchange.combine(parts, fold), fold).take_all()
     rows = sum(int(r["partial_rows"]) for r in one)
     okc = sum(int(r["partial_ok"]) for r in one)
     mp = min((float(r["partial_minpsnr"]) for r in one), default=np.inf)

@@ -224,24 +224,12 @@ def token_histogram(ds: ray.data.Dataset, text_col: str = "text") -> ray.data.Da
         g = batch.group_by("token").aggregate([("partial_n", "sum")])
         return pa.table({"token": g["token"], out_name: g["partial_n_sum"]})
 
-    from georay.ops import COMBINE_TARGET_ROWS
-
     parts = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    comb = parts.map_batches(
-        lambda b: combine(b, "partial_n"),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS,
-        num_cpus=0.5,
-    )
-    return comb.map_batches(
+    return exchange.gather(
+        exchange.combine(parts, lambda b: combine(b, "partial_n")),
         lambda b: combine(b, "n"),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=1 << 40,
-        num_cpus=0.9,
     )
 
 
@@ -431,20 +419,12 @@ def doc_top_tfidf(
         g = batch.group_by("token").aggregate([("partial_df", "sum")])
         return pa.table({"token": g["token"], out: g["partial_df_sum"]})
 
-    from georay.ops import COMBINE_TARGET_ROWS
-
     parts = ds.map_batches(
         df_partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    comb = parts.map_batches(
-        lambda b: df_combine(b, "partial_df"),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS, num_cpus=0.5,
-    )
-    df_tbl = exchange.collect(comb.map_batches(
+    df_tbl = exchange.collect(exchange.gather(
+        exchange.combine(parts, lambda b: df_combine(b, "partial_df")),
         lambda b: df_combine(b, "df"),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40, num_cpus=0.9,
     ))
     # sorted vocab ⇒ index_in codes are lexicographic ranks (tie order)
     order = pc.sort_indices(df_tbl, sort_keys=[("token", "ascending")])
@@ -791,7 +771,6 @@ def source_ngram_overlap(
     source_col: str = "source",
     n: int = 3,
     n_buckets: int = 64,
-    final: str = "tree",
 ) -> ray.data.Dataset:
     """Cross-source contamination audit: for every pair of sources,
     the number of DISTINCT word n-grams present in BOTH — the overlap
@@ -802,9 +781,9 @@ def source_ngram_overlap(
 
     Plan: (1) per batch, distinct (source, n-gram) presence pairs via
     the flat n-gram kernel + one grouped reduction; (2) the presence
-    table dedups through the combine tree keyed by (source, gram) —
-    pass ``final="shuffle"`` when the distinct-n-gram universe exceeds
-    one worker; (3) one gram-hash bucket co-shuffle expands each gram's
+    table dedups through the combine tree keyed by (source, gram), so
+    the distinct (source, n-gram) pairs must fit one worker; (3) one
+    gram-hash bucket co-shuffle expands each gram's
     source set to pairs (≤ C(n_sources, 2) per gram — sources are few,
     grams are many: the classic small-item/large-group co-occurrence
     shape), and the pair counts merge through a tiny tree. The corpus
@@ -847,7 +826,6 @@ def source_ngram_overlap(
             batch_size=None,
         ),
         ["src", "gram"], {"partial_one": "c"}, int_cols=("partial_one",),
-        final=final,
     )
 
     def per_gram_pairs(group: pa.Table) -> pa.Table:
@@ -1008,18 +986,11 @@ def bm25_topk(
              for c in batch.column_names}
         )
 
-    from georay.ops import COMBINE_TARGET_ROWS
-
-    stats_ds = ds.map_batches(
+    parts = ds.map_batches(
         stats_partial, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=None,
-    ).map_batches(
-        stats_merge, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS, num_cpus=0.5,
-    ).map_batches(
-        stats_merge, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40, num_cpus=0.9,
     )
+    stats_ds = exchange.gather(exchange.combine(parts, stats_merge), stats_merge)
     stat_rows = stats_ds.take_all()
     if not stat_rows or int(stat_rows[0]["n_docs"]) == 0:
         return ray.data.from_arrow(
@@ -1102,7 +1073,6 @@ def lm_score(
     Output: (id_col, n_bigrams, lm_q) — one row per input document
     (docs with < 2 tokens get zeros)."""
     from georay.index import _ragged_ranges
-    from georay.ops import COMBINE_TARGET_ROWS
 
     def _bigrams(txt: pa.Array):
         flat, counts = _tokenize_flat(txt)
@@ -1134,16 +1104,11 @@ def lm_score(
     parts = ds.map_batches(
         count_partial, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=None,
-    ).map_batches(
-        lambda t: count_combine(t, "partial_n"),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS, num_cpus=0.5,
-    ).map_batches(
-        lambda t: count_combine(t, "c2"),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40, num_cpus=0.9,
     )
-    bt = exchange.collect(parts)
+    bt = exchange.collect(exchange.gather(
+        exchange.combine(parts, lambda t: count_combine(t, "partial_n")),
+        lambda t: count_combine(t, "c2"),
+    ))
     if not bt.num_rows:
         bt = pa.table(
             {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string()),
@@ -1369,7 +1334,6 @@ def pmi_collocations(
     unigram table broadcasts once for the two ``index_in`` probes; the
     final top-k is the standard per-block prune + single merge."""
     from georay import ops as _ops
-    from georay.ops import COMBINE_TARGET_ROWS
     from georay.index import _ragged_ranges
 
     def _bigrams(txt: pa.Array):
@@ -1467,7 +1431,7 @@ def pmi_collocations(
 
     scored = bg.map_batches(
         score, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS,
+        batch_size=exchange.COMBINE_TARGET_ROWS,
     )
     return _ops.top_k(
         scored, ["pmi_q", "w1", "w2"], k, descending=[True, False, False]
@@ -1515,7 +1479,7 @@ def editdist_join_qgram(
     partitioned double equi-join at billion-row scale.
 
     Returns (id_a, id_b, dist int64), id_a < id_b."""
-    from georay.ops import COMBINE_TARGET_ROWS, _group_reduce, tree_sum
+    from georay.ops import _group_reduce, tree_sum
 
     def project(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].cast(pa.int64())
@@ -1812,5 +1776,5 @@ def editdist_join_qgram(
 
     return shared.map_batches(
         verify, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=COMBINE_TARGET_ROWS,
+        batch_size=exchange.COMBINE_TARGET_ROWS,
     )

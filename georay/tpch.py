@@ -8892,10 +8892,7 @@ def q_geofence(sf_dir: str):
             }
         )
 
-    return parts.map_batches(
-        merge, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40, num_cpus=0.9,
-    )
+    return exchange.gather(parts, merge)
 
 
 SQL_GEOFENCE = f"""
@@ -11385,29 +11382,11 @@ def q_tpch_q17(sf_dir: str):
         small, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
 
-    def fold(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "partial_rev": pa.array(
-                    [int(pc.sum(batch["partial_rev"]).as_py() or 0)],
-                    pa.int64(),
-                )
-            }
-        )
-
-    one = partials.map_batches(
-        fold, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40, num_cpus=0.9,
-    )
-
     def finish(batch: pa.Table) -> pa.Table:
         t = int(pc.sum(batch["partial_rev"]).as_py() or 0)
         return pa.table({"avg_yearly_q": pa.array([t // 7], pa.int64())})
 
-    return one.map_batches(
-        finish, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(partials, finish)
 
 
 SQL_TPCH_Q17 = """
@@ -15037,10 +15016,7 @@ def q_rfm(sf_dir: str):
             }
         )
 
-    return merged.map_batches(
-        finish, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(merged, finish)
 
 
 SQL_RFM = """
@@ -15103,10 +15079,7 @@ def q_skew_profile(sf_dir: str):
             }
         )
 
-    return hist.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(hist, sweep)
 
 
 SQL_SKEW_PROFILE = f"""
@@ -15847,10 +15820,7 @@ def q_cell_phash_diversity(sf_dir: str):
             }
         )
 
-    return pairs.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(pairs, sweep)
 
 
 def _images_cache() -> str:
@@ -15983,10 +15953,7 @@ def q_caption_terms_by_cell(sf_dir: str):
             }
         )
 
-    return pairs.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(pairs, sweep)
 
 
 def _str_codes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -16683,10 +16650,7 @@ def q_local_moran(sf_dir: str):
             }
         )
 
-    return hist.map_batches(
-        sweep, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=1 << 40,
-    )
+    return exchange.gather(hist, sweep)
 
 
 SQL_LOCAL_MORAN = f"""

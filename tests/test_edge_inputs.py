@@ -2425,3 +2425,102 @@ def test_co_shuffle_unhashable_key_names_columns(ray_session):
     with pytest.raises(Exception) as err:
         analytics.funnel(rd.from_arrow(t), "u", "ts", "e", ["a", "b"]).take_all()
     assert "TypeError: key columns ['u'] (u: double) have no bucket hash" in str(err.value)
+
+
+def test_combine_tree_only_in_exchange():
+    """Every combine-tree stage goes through ``exchange.combine`` /
+    ``exchange.gather``: no other module spells a one-task merge
+    (``batch_size=1 << 40``), a ``num_cpus`` offset on ``map_batches``
+    or a ``repartition(1)`` barrier."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "georay"
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "exchange.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            kw = {k.arg: ast.unparse(k.value) for k in node.keywords if k.arg}
+            if node.func.attr == "map_batches" and (
+                kw.get("batch_size") == "1 << 40" or "num_cpus" in kw
+            ):
+                bad.append(f"{rel}:{node.lineno} map_batches({kw})")
+            if (node.func.attr == "repartition" and node.args
+                    and ast.unparse(node.args[0]) == "1"):
+                bad.append(f"{rel}:{node.lineno} repartition(1)")
+    assert not bad, bad
+
+
+def test_gather_calls_fn_once_with_every_row(ray_session):
+    """``exchange.gather`` over a 50-block input calls its fn once, with
+    every row; the 0.9-CPU merge does not fuse with the default-CPU map
+    before it, so that map keeps one task per block."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from georay import exchange
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column("one", pa.array(np.ones(len(batch), np.int64)))
+
+    def fold(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "n": pa.array([len(batch)], pa.int64()),
+            "s": pa.array([int(pc.sum(batch["k"]).as_py())], pa.int64()),
+        })
+
+    parts = [pa.table({"k": pa.array(np.arange(i * 10, i * 10 + 10), pa.int64())})
+             for i in range(50)]
+    ds = rd.from_arrow(parts)
+    assert ds.num_blocks() == 50
+    out = exchange.gather(
+        ds.map_batches(tag, batch_format="pyarrow", batch_size=None), fold
+    ).materialize()
+    assert out.take_all() == [{"n": 500, "s": sum(range(500))}]
+    ops_run = [ln for ln in out.stats().splitlines() if ln.startswith("Operator")]
+    assert not any("MapBatches(tag)->" in ln for ln in ops_run), ops_run
+    assert any("MapBatches(tag): 50 tasks" in ln for ln in ops_run), ops_run
+
+
+def test_combine_tree_on_empty_input(ray_session):
+    """On an input with no rows the tree's fns are never called and the
+    result has no rows; the callers keep their own empty results."""
+    import ray.data as rd
+
+    from georay import exchange
+    from georay.stages import text
+
+    def boom(batch: pa.Table) -> pa.Table:
+        raise AssertionError(f"called on {len(batch)} rows")
+
+    empty = rd.from_arrow([EMPTY.append_column("text", pa.array([], pa.string()))] * 3)
+    assert exchange.gather(exchange.combine(empty, boom), boom).take_all() == []
+
+    hh = ops.heavy_hitters(empty, "s", 0.5).materialize()
+    assert hh.count() == 0
+    assert hh.schema().names == ["s", "n"]
+    assert ops.top_k(empty, "v", 3).count() == 0
+    assert text.token_histogram(empty, "text").count() == 0
+    assert ops.approx_distinct(empty, "k") == 0.0
+
+
+def test_rollup_plan_has_no_repartition(ray_session):
+    """``rollup_sum`` (like cube, grouping sets and grouped mode) expands
+    the one-block finest table inside the tree's merge task: its
+    executed plan has no ``Repartition`` barrier."""
+    import ray.data as rd
+
+    t = pa.table({
+        "k": pa.array([1, 1, 2], pa.int64()),
+        "s": pa.array(["a", "b", "a"]),
+        "v": pa.array([1.0, 2.0, 3.0]),
+    })
+    out = ops.rollup_sum(rd.from_arrow(t), ["k", "s"], "v").materialize()
+    assert "Repartition" not in out.stats()
+    got = sorted((r["k"] or 0, r["s"] or "", r["total"]) for r in out.take_all())
+    assert got == [(0, "", 6.0), (1, "", 3.0), (1, "a", 1.0), (1, "b", 2.0),
+                   (2, "", 3.0), (2, "a", 3.0)]

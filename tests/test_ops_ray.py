@@ -166,7 +166,7 @@ def test_salted_count(images_dir, ray_session):
 
     ds = rd.read_parquet(images_dir)
     ds = ops.add_grid_column(ds, res=5.0)
-    out = ops.salted_count(ds, "grid_cell", n_salt=4).take_all()
+    out = ops.salted_count(ds, "grid_cell").take_all()
     src = pq.read_table(images_dir)
     v = native.view(src["geotag"].combine_chunks())
     lon = v.coords[:, 0].copy()
@@ -183,7 +183,7 @@ def test_salted_count(images_dir, ray_session):
 
 def test_salted_count_extreme_zipf_skew(ray_session):
     """SURVEY §7.4 hard part 4: one key owning 90% of rows must aggregate
-    exactly, with and without salting."""
+    exactly."""
     import ray.data as rd
 
     n = 50_000
@@ -193,10 +193,9 @@ def test_salted_count_extreme_zipf_skew(ray_session):
     import collections
 
     exp = collections.Counter(keys.tolist())
-    for n_salt in (1, 16):
-        out = ops.salted_count(ds, "k", n_salt=n_salt).take_all()
-        got = {r["k"]: r["count"] for r in out}
-        assert got == dict(exp), n_salt
+    out = ops.salted_count(ds, "k").take_all()
+    got = {r["k"]: r["count"] for r in out}
+    assert got == dict(exp)
 
 
 def test_box_agg_and_unique_types_distributed(images_dir, ray_session):
