@@ -97,6 +97,39 @@ def csr_lookup(uniq: np.ndarray, offsets: np.ndarray, vs: np.ndarray, probe: np.
     return out_probe, out_vals
 
 
+def _first_match(pidx, poly, lon, lat, pip_pairs):
+    """First matching polygon per point, -1 when none, in doubling rank
+    waves.
+
+    ``(pidx, poly)`` are candidate pairs in probe-major order with the
+    polygon index ascending within each probe; ``pip_pairs`` is the
+    exact test (``PolygonIndex._pip_pairs``). A pair's rank is its
+    position within its probe. Wave 0 tests rank 0 and wave ``w`` tests
+    ranks ``[2**(w-1), 2**w)``, each wave only for points with no hit
+    yet, so the first hit a point gets is its lowest-rank (lowest
+    polygon index) match. With R the largest candidate count of any
+    point, ``pip_pairs`` runs at most ceil(log2 R) + 1 times and tests at
+    most about twice the pairs a rank-by-rank probe would.
+    """
+    first = np.full(lon.shape[0], -1, dtype=np.int64)
+    if pidx.size == 0:
+        return first
+    counts = np.bincount(pidx)
+    _, rank = _ragged_ranges(counts)
+    r_max = int(counts.max())
+    lo, hi = 0, 1
+    while lo < r_max:
+        sel = np.nonzero((rank >= lo) & (rank < hi) & (first[pidx] < 0))[0]
+        if sel.size:
+            hit = pip_pairs(pidx[sel], poly[sel], lon, lat)
+            hp, hpoly = pidx[sel[hit]], poly[sel[hit]]
+            lead = np.ones(hp.shape[0], dtype=bool)
+            lead[1:] = hp[1:] != hp[:-1]
+            first[hp[lead]] = hpoly[lead]
+        lo, hi = hi, 2 * hi
+    return first
+
+
 @dataclass
 class PolygonIndex:
     """Grid-bucketed polygon index (the engine's STR-pack analogue).
@@ -144,7 +177,6 @@ class PolygonIndex:
 
         # ring-closing edges: every consecutive vertex pair within a ring
         ring_off = v.offsets[-1]
-        n_rings = len(ring_off) - 1
         # per-feature ring ranges (walk outer offsets down to ring level)
         feat_ring_start = v.offsets[0][:-1]
         feat_ring_end = v.offsets[0][1:]
@@ -156,17 +188,10 @@ class PolygonIndex:
         y = v.coords[:, 1]
         # edges per ring r: vertices ring_off[r] .. ring_off[r+1]-2 paired
         # with the next vertex (rings are closed; skip the wrap edge)
-        ring_sizes = np.diff(ring_off)
-        edge_counts = np.maximum(ring_sizes - 1, 0)
+        edge_counts = np.maximum(np.diff(ring_off) - 1, 0)
         ring_edge_start = np.concatenate([[0], np.cumsum(edge_counts)])
-        total_edges = int(ring_edge_start[-1])
-        src = np.concatenate(
-            [
-                np.arange(ring_off[r], ring_off[r + 1] - 1)
-                for r in range(n_rings)
-                if ring_sizes[r] > 1
-            ]
-        ) if total_edges else np.empty(0, np.int64)
+        ring, within = _ragged_ranges(edge_counts)
+        src = ring_off[:-1][ring] + within
         e_x1, e_y1 = x[src], y[src]
         e_x2, e_y2 = x[src + 1], y[src + 1]
 
@@ -413,38 +438,13 @@ class PolygonIndex:
         return inside
 
     def contains_first(self, lon: np.ndarray, lat: np.ndarray):
-        """First match per point (for left/semi/anti joins): candidates
-        are tested rank-round by rank-round with early exit, so in dense
-        overlap regions (where the first candidate usually hits) the work
-        is ~1 round instead of testing every candidate pair.
-
-        Returns ``first`` with the matching polygon index per point, -1
-        when none.
-        """
-        n = lon.shape[0]
-        first = np.full(n, -1, dtype=np.int64)
+        """First match per point (for left/semi/anti joins): the lowest
+        polygon index that contains each point, -1 when none. Candidates
+        are tested in doubling rank waves (``_first_match``), so a batch
+        runs at most ceil(log2 R) + 1 exact tests, R being its largest
+        candidate count per point."""
         pidx, poly = self.candidates(lon, lat)
-        if pidx.size == 0:
-            return first
-        # rank of each candidate within its probe (pidx is probe-sorted)
-        new = np.ones(pidx.shape[0], dtype=bool)
-        new[1:] = pidx[1:] != pidx[:-1]
-        starts = np.nonzero(new)[0]
-        rank = np.arange(pidx.shape[0]) - np.repeat(
-            starts, np.diff(np.append(starts, pidx.shape[0]))
-        )
-        max_rank = int(rank.max())
-        for r in range(max_rank + 1):
-            sel = np.nonzero((rank == r) & (first[pidx] < 0))[0]
-            if sel.size == 0:
-                if not np.any(first[pidx] < 0):
-                    break
-                continue
-            sub_p = pidx[sel]
-            sub_poly = poly[sel]
-            hit = self._pip_pairs(sub_p, sub_poly, lon, lat)
-            first[sub_p[hit]] = sub_poly[hit]
-        return first
+        return _first_match(pidx, poly, lon, lat, self._pip_pairs)
 
 
 @dataclass
@@ -1216,17 +1216,11 @@ class STRPolygonIndex:
         return pidx[inside], poly[inside]
 
     def contains_first(self, lon: np.ndarray, lat: np.ndarray):
-        """First (lowest-index) matching polygon per point, -1 if none."""
-        n = lon.shape[0]
-        first = np.full(n, -1, dtype=np.int64)
-        pidx, poly = self.contains(lon, lat)
-        if pidx.size == 0:
-            return first
-        # candidates() emits probe-major, poly-ascending: first per probe
-        new = np.ones(pidx.shape[0], dtype=bool)
-        new[1:] = pidx[1:] != pidx[:-1]
-        first[pidx[new]] = poly[new]
-        return first
+        """First (lowest-index) matching polygon per point, -1 if none:
+        the grid index's doubling rank waves (``_first_match``) over the
+        tree's probe-major, poly-ascending candidates."""
+        pidx, poly = self.candidates(lon, lat)
+        return _first_match(pidx, poly, lon, lat, self.base._pip_pairs)
 
     def intersects_rect(
         self,

@@ -40,7 +40,12 @@ def pip_join(
 
     modes: "inner" (one output row per match, point cols + polygon cols),
     "left" (every point, null polygon_id when no match), "semi" (points
-    with ≥1 match), "anti" (points with no match).
+    with ≥1 match), "anti" (points with no match). Left takes the lowest
+    polygon index that contains the point. These three modes probe with
+    ``contains_first``: candidates are tested in doubling rank waves
+    (rank 0, then ranks [1, 2), [2, 4), ...), each only for points with
+    no hit yet, so a batch runs at most ceil(log2 R) + 1 exact tests, R
+    being its largest candidate count per point.
 
     ``index``: "grid" (default — exact-cover grid buckets) or "str"
     (STR-packed R-tree, ``STRPolygonIndex`` — the north star's literal

@@ -3184,13 +3184,14 @@ def hll_partial(values: np.ndarray) -> np.ndarray:
     m = np.uint64((1 << _HLL_P) - 1)
     reg_idx = (h & m).astype(np.int64)
     w = h >> np.uint64(_HLL_P)
-    # rank = position of first set bit in the remaining 52 bits (1-based)
-    with np.errstate(divide="ignore"):
-        lz = np.where(
-            w == 0,
-            64 - _HLL_P + 1,
-            64 - _HLL_P - np.floor(np.log2(w.astype(np.float64) + 0.0)).astype(np.int64),
-        )
+    # rank = position of first set bit in the remaining 52 bits (1-based);
+    # w == 0 takes the max rank, and its log2 input is clamped to 1 so no
+    # -inf reaches the int cast
+    lz = np.where(
+        w == 0,
+        64 - _HLL_P + 1,
+        64 - _HLL_P - np.floor(np.log2(np.maximum(w, 1).astype(np.float64))).astype(np.int64),
+    )
     regs = np.zeros(1 << _HLL_P, dtype=np.int8)
     np.maximum.at(regs, reg_idx, lz.astype(np.int8))
     return regs

@@ -179,7 +179,9 @@ def connected_components_partitioned(
     o(nodes / n_buckets). No driver-side pointer jumping — rounds equal
     the component diameter (the dedup candidate generators bound it by
     construction; see module docstring). Result is identical to the
-    broadcast twin: label = min node id of the component.
+    broadcast twin: label = min node id of the component. Raises
+    ``RuntimeError`` when labels still change after ``max_rounds``
+    rounds.
     """
     from georay import ops
 
@@ -317,5 +319,10 @@ def connected_components_partitioned(
         if new_sum == prev_sum:
             break
         prev_sum = new_sum
+    else:
+        raise RuntimeError(
+            f"connected_components_partitioned: labels still changing after "
+            f"max_rounds={max_rounds} rounds; raise max_rounds"
+        )
 
     return labels

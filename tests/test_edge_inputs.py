@@ -2524,3 +2524,271 @@ def test_rollup_plan_has_no_repartition(ray_session):
     got = sorted((r["k"] or 0, r["s"] or "", r["total"]) for r in out.take_all())
     assert got == [(0, "", 6.0), (1, "", 3.0), (1, "a", 1.0), (1, "b", 2.0),
                    (2, "", 3.0), (2, "a", 3.0)]
+
+
+def test_hll_partial_no_cast_warning_and_registers_pinned():
+    """``hll_partial`` ranks a hash whose 52 high bits are zero without
+    taking log2(0): no RuntimeWarning, and the registers equal both a
+    ``bit_length`` reference and the digest the rank rule has always
+    produced (key 0 hashes to 0, so ``w == 0`` occurs in this input)."""
+    import hashlib
+    import warnings
+
+    import pandas as pd
+
+    vals = np.arange(5000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        regs = ops.hll_partial(vals)
+    h = pd.util.hash_array(vals).astype(np.uint64)
+    want = np.zeros(1 << ops._HLL_P, dtype=np.int8)
+    for hv in h.tolist():
+        w = hv >> ops._HLL_P
+        rank = 65 - ops._HLL_P - w.bit_length()
+        j = hv & ((1 << ops._HLL_P) - 1)
+        want[j] = max(want[j], rank)
+    assert np.array_equal(regs, want)
+    assert hashlib.sha256(regs.tobytes()).hexdigest() == (
+        "18a896febadd657b65ec375e2e2878b8679f52561fec569bfba3f8d82c4e291d"
+    )
+
+
+# ------------------------------------------------ first-match PIP probe
+STAR_CX, STAR_CY = 10.0, 20.0
+
+
+def _star_ring(r_out):
+    """Closed 5-spike star ring around the star center, inner radius
+    0.4·``r_out``, outer vertex 0 on the +x axis."""
+    k = np.arange(10)
+    ang = np.pi * k / 5
+    rad = np.where(k % 2 == 0, r_out, 0.4 * r_out)
+    xy = np.column_stack([STAR_CX + rad * np.cos(ang), STAR_CY + rad * np.sin(ang)])
+    return np.vstack([xy, xy[:1]])
+
+
+def _polygon_table(rings_per_feature):
+    """geoarrow.polygon table from a list of ring lists (one per row),
+    ``polygon_id`` = row number."""
+    from georay.codecs import native
+    from georay.types import GeoType
+
+    geo = GeoType.polygon(crs="OGC:CRS84")
+    rings = [r for feat in rings_per_feature for r in feat]
+    ring_off = np.concatenate([[0], np.cumsum([len(r) for r in rings])])
+    feat_off = np.concatenate([[0], np.cumsum([len(f) for f in rings_per_feature])])
+    coords = np.vstack([np.reshape(r, (-1, 2)) for r in rings])
+    geom = native.build_nested(coords, [feat_off, ring_off], geo)
+    ids = pa.array(np.arange(len(rings_per_feature), dtype=np.int64))
+    return pa.table({"polygon_id": ids}).append_column(geo.field("geometry"), geom)
+
+
+def _concentric_stars(n=200):
+    """``n`` concentric stars, smallest first: a point on an inner-vertex
+    ray lies in the bbox of every larger star but inside only those at
+    least 2.5× its radius, so its first hit sits deep in its candidate
+    list (or it has none), and the cluster center has ``n`` candidates."""
+    radii = 0.02 * (np.arange(n) + 1)
+    return _polygon_table([[_star_ring(r)] for r in radii]), radii
+
+
+def _probe_points(radii):
+    """Heavy-overlap probe batch: a random sprinkle, points down the
+    inner-vertex ray, points exactly on vertices, edges and bbox
+    borders, and three 1e9 sentinels (what ``pip_join`` feeds for null
+    and NaN geotags)."""
+    rng = np.random.default_rng(5)
+    r_max = radii[-1]
+    pts = [rng.uniform(-1.1 * r_max, 1.1 * r_max, (400, 2)) + [STAR_CX, STAR_CY]]
+    rho = np.linspace(0.01, 1.05 * r_max, 120)
+    ang = np.pi / 5  # the inner vertex between outer vertices 0 and 2
+    pts.append(np.column_stack([STAR_CX + rho * np.cos(ang), STAR_CY + rho * np.sin(ang)]))
+    for i in (0, 37, 99, 150, 199):
+        ring = _star_ring(radii[i])
+        pts.append(ring[:-1])  # every vertex
+        pts.append((ring[:-1] + ring[1:]) / 2)  # every edge midpoint
+        xmin, ymin = ring.min(axis=0)
+        xmax, ymax = ring.max(axis=0)
+        pts.append([[xmin, STAR_CY], [xmax, STAR_CY], [STAR_CX, ymin], [STAR_CX, ymax],
+                    [xmin, ymin], [xmax, ymax]])
+    pts.append(np.full((3, 2), 1e9))
+    xy = np.vstack(pts)
+    return xy[:, 0].copy(), xy[:, 1].copy()
+
+
+def _min_poly_per_point(idx, lon, lat):
+    """Reference first match: lowest polygon index over ``contains``."""
+    want = np.full(lon.shape[0], -1, np.int64)
+    pidx, poly = idx.contains(lon, lat)
+    order = np.lexsort((-poly, pidx))  # last write per point = min poly
+    want[pidx[order]] = poly[order]
+    return want
+
+
+@pytest.mark.parametrize("kind", ["grid", "str"])
+def test_contains_first_is_min_match_in_log_waves(kind, monkeypatch):
+    """``contains_first`` returns the lowest matching polygon index per
+    point for both indexes, and runs the exact test once per doubling
+    rank wave: at most ceil(log2 R) + 1 ``_pip_pairs`` calls per batch,
+    R being the largest candidate count of any point (a rank-by-rank
+    probe needs one call per rank, > 100 here)."""
+    from georay.index import PolygonIndex, STRPolygonIndex
+
+    polys, radii = _concentric_stars()
+    idx = (STRPolygonIndex if kind == "str" else PolygonIndex).build(polys)
+    lon, lat = _probe_points(radii)
+    pidx, poly = idx.candidates(lon, lat)
+    r_max = int(np.bincount(pidx).max())
+    assert r_max > 64
+
+    want = _min_poly_per_point(idx, lon, lat)
+    # a rank-by-rank probe tests each point's candidates up to its first
+    # hit, or all of them on a miss
+    counts = np.bincount(pidx, minlength=lon.shape[0])
+    start = np.cumsum(counts) - counts
+    hit_rank = np.nonzero(poly == np.repeat(want, counts))[0]
+    hit_rank = hit_rank[np.r_[True, pidx[hit_rank][1:] != pidx[hit_rank][:-1]]]
+    needed = counts.copy()
+    needed[pidx[hit_rank]] = hit_rank - start[pidx[hit_rank]] + 1
+    assert (want < 0).any() and (needed[want >= 0] > 64).any()
+
+    calls = []
+    real = PolygonIndex._pip_pairs
+
+    def counting(self, *args):
+        calls.append(args[0].shape[0])
+        return real(self, *args)
+
+    monkeypatch.setattr(PolygonIndex, "_pip_pairs", counting)
+    got = idx.contains_first(lon, lat)
+    assert np.array_equal(got, want)
+    assert 5 <= len(calls) <= int(np.ceil(np.log2(r_max))) + 1
+    assert sum(calls) <= 2 * needed.sum()
+
+    # all-miss batch: only sentinels and far points
+    far = np.array([1e9, -170.0, 170.0, STAR_CX + 10.0])
+    assert (idx.contains_first(far, np.array([1e9, -80.0, 80.0, STAR_CY])) == -1).all()
+    # empty batch
+    assert idx.contains_first(np.empty(0), np.empty(0)).shape == (0,)
+
+
+def test_contains_first_grid_and_str_agree_on_generated_polygons():
+    """Grid and STR first matches agree with each other and with the
+    min-over-``contains`` reference on the generator's mixed polygons."""
+    from georay import generate
+    from georay.index import PolygonIndex, STRPolygonIndex
+
+    polys = generate.make_polygons_table(300, seed=7)
+    grid = PolygonIndex.build(polys)
+    st = STRPolygonIndex.build(polys)
+    rng = np.random.default_rng(3)
+    # points scattered over random polygons' bboxes (most hit something)
+    b = grid.bbox[np.isfinite(grid.bbox[:, 0])]
+    pick = b[rng.integers(0, b.shape[0], 3000)]
+    lon = rng.uniform(pick[:, 0], pick[:, 2])
+    lat = rng.uniform(pick[:, 1], pick[:, 3])
+    want = _min_poly_per_point(grid, lon, lat)
+    assert (want >= 0).sum() > 1000 and (want < 0).any()
+    assert np.array_equal(grid.contains_first(lon, lat), want)
+    assert np.array_equal(st.contains_first(lon, lat), want)
+
+
+@pytest.mark.parametrize("index", ["grid", "str"])
+def test_pip_join_first_match_modes_on_heavy_overlap(index, ray_session):
+    """left/semi/anti ``pip_join`` over the concentric stars, with null
+    and NaN geotags, equal the min-over-``contains`` reference: left
+    carries the lowest-index containing polygon's id, semi/anti split
+    the points by whether any polygon contains them."""
+    import ray.data as rd
+
+    from georay.codecs import native
+    from georay.index import PolygonIndex
+    from georay.joins import pip_join
+    from georay.types import GeoType
+
+    n = 200
+    polys, radii = _concentric_stars(n)
+    polys = polys.set_column(
+        0, "polygon_id", pa.array([f"star{i:03d}" for i in range(n)])
+    )
+    lon, lat = _probe_points(radii)
+    lon, lat = lon[:-3], lat[:-3]  # sentinels come from null/NaN rows below
+    m = lon.shape[0]
+    coords = np.vstack([np.column_stack([lon, lat]), [[0.0, 0.0], [np.nan, np.nan]]])
+    mask = np.zeros(m + 2, bool)
+    mask[m] = True  # null geotag
+    pt_geo = GeoType.point(crs="OGC:CRS84")
+    ids = [f"p{i:05d}" for i in range(m + 2)]
+    pts = pa.table({"image_id": pa.array(ids)}).append_column(
+        pt_geo.field("geotag"), native.build_points(coords, pt_geo, mask=mask)
+    )
+    first = _min_poly_per_point(PolygonIndex.build(polys), lon, lat)
+    first = np.concatenate([first, [-1, -1]])
+    want_left = {
+        i: (f"star{f:03d}" if f >= 0 else None) for i, f in zip(ids, first.tolist())
+    }
+
+    def run(mode):
+        ds = rd.from_arrow(pts).repartition(3)
+        return pip_join(ds, polys, mode=mode, index=index).take_all()
+
+    left = run("left")
+    assert len(left) == m + 2
+    assert {r["image_id"]: r["polygon_id"] for r in left} == want_left
+    hit = {i for i, f in zip(ids, first.tolist()) if f >= 0}
+    assert {r["image_id"] for r in run("semi")} == hit
+    assert {r["image_id"] for r in run("anti")} == set(ids) - hit
+
+
+def test_polygon_index_edges_match_per_ring_enumeration():
+    """The vectorized edge build equals a per-ring loop over holes,
+    multipolygon parts, EMPTY polygons and 0/1-vertex rings."""
+    from georay.codecs import native
+    from georay.index import PolygonIndex
+    from georay.types import GeoType
+
+    sq = np.array([[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]], np.float64)
+    hole = np.array([[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]], np.float64)
+    poly_rows = [
+        [sq, hole],  # shell + hole
+        [sq + 10, np.array([[11.0, 11.0]])],  # 1-vertex ring
+        [],  # EMPTY
+        [np.empty((0, 2)), sq + 20],  # 0-vertex ring first
+        [_star_ring(1.0), _star_ring(0.3)],
+    ]
+    mp_geo = GeoType.multipolygon(crs="OGC:CRS84")
+    mp_parts = [[[sq], [sq + 5, hole + 5]], [[np.array([[7.0, 7.0]]), sq + 30]], []]
+    rings = [r for f in mp_parts for part in f for r in part]
+    part_off = np.concatenate([[0], np.cumsum([len(f) for f in mp_parts])])
+    ring_cnt = np.concatenate([[0], np.cumsum([len(p) for f in mp_parts for p in f])])
+    coord_off = np.concatenate([[0], np.cumsum([len(r) for r in rings])])
+    mp = pa.table({"polygon_id": pa.array([0, 1, 2])}).append_column(
+        mp_geo.field("geometry"),
+        native.build_nested(
+            np.vstack([np.reshape(r, (-1, 2)) for r in rings]),
+            [part_off, ring_cnt, coord_off],
+            mp_geo,
+        ),
+    )
+
+    for table in (_polygon_table(poly_rows), mp):
+        geo = GeoType.from_field(table.schema.field("geometry"))
+        v = native.view(table["geometry"].combine_chunks(), geo)
+        ring_off = v.offsets[-1]
+        want = {k: [] for k in ("x1", "y1", "x2", "y2")}
+        offsets = [0]
+        for f in range(v.length):
+            r0, r1 = v.offsets[0][f], v.offsets[0][f + 1]
+            for mid in v.offsets[1:-1]:
+                r0, r1 = mid[r0], mid[r1]
+            for r in range(r0, r1):
+                for k in range(ring_off[r], ring_off[r + 1] - 1):
+                    want["x1"].append(v.coords[k, 0])
+                    want["y1"].append(v.coords[k, 1])
+                    want["x2"].append(v.coords[k + 1, 0])
+                    want["y2"].append(v.coords[k + 1, 1])
+            offsets.append(len(want["x1"]))
+        idx = PolygonIndex.build(table)
+        for k in ("x1", "y1", "x2", "y2"):
+            assert np.array_equal(getattr(idx, f"edge_{k}"), np.array(want[k], np.float64)), k
+        assert np.array_equal(idx.poly_edge_offsets, offsets)

@@ -1065,6 +1065,21 @@ def test_connected_components_partitioned_matches_broadcast(ray_session):
     assert (got[got["node"].isin(path)]["label"] == 1000).all()
 
 
+def test_connected_components_partitioned_raises_when_unconverged(ray_session):
+    """A component whose diameter needs more than ``max_rounds`` rounds
+    raises instead of returning half-propagated labels."""
+    import ray.data as rd
+
+    from georay.stages.components import connected_components_partitioned
+
+    path = np.arange(6, dtype=np.int64)
+    pairs = rd.from_arrow(
+        pa.table({"id_a": pa.array(path[:-1]), "id_b": pa.array(path[1:])})
+    )
+    with pytest.raises(RuntimeError, match="max_rounds=2"):
+        connected_components_partitioned(pairs, max_rounds=2, n_buckets=4)
+
+
 def test_ivf_index_pruned_search_matches_masked(ray_session, tmp_path):
     """Partition-pruned IVF search must return the same ids/ranks as the
     masking scan (same centroids, same probes) while reading strictly
