@@ -154,11 +154,11 @@ class PolygonIndex:
     edge_x2: np.ndarray
     edge_y2: np.ndarray
     poly_edge_offsets: np.ndarray  # (n_poly+1) into edge arrays
-    polygon_ids: np.ndarray  # original id column (object/str or int)
+    id_array: pa.Array  # polygon ids, typed like the id column
 
     @property
     def n_polygons(self) -> int:
-        return len(self.polygon_ids)
+        return len(self.id_array)
 
     # -------------------------------------------------------------- build
     @staticmethod
@@ -224,7 +224,7 @@ class PolygonIndex:
         keys, vals = _cover_bboxes_grid(bbox, ok, res)
         uniq, offsets, vs = _csr_from_pairs(keys, vals)
 
-        ids_np = np.asarray(polygons[id_col].to_pylist(), dtype=object)
+        id_array = polygons[id_col].combine_chunks()
         return PolygonIndex(
             res=res,
             cell_uniq=uniq,
@@ -236,7 +236,7 @@ class PolygonIndex:
             edge_x2=e_x2,
             edge_y2=e_y2,
             poly_edge_offsets=poly_edge_offsets,
-            polygon_ids=ids_np,
+            id_array=id_array,
         )
 
     # -------------------------------------------------------------- probe
@@ -1109,8 +1109,8 @@ class STRPolygonIndex:
     fanout: int
 
     @property
-    def polygon_ids(self) -> np.ndarray:
-        return self.base.polygon_ids
+    def id_array(self) -> pa.Array:
+        return self.base.id_array
 
     @property
     def n_polygons(self) -> int:

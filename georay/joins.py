@@ -75,14 +75,12 @@ def pip_join(
         bad = ~(np.isfinite(lon) & np.isfinite(lat))
         lon = np.where(bad, 1e9, lon)
         lat = np.where(bad, 1e9, lat)
-        n = len(batch)
         if mode == "inner":
             pidx, poly = polys.contains(lon, lat)
             out = batch.take(pa.array(pidx))
-            out = out.append_column(
-                "polygon_id", pa.array(polys.polygon_ids[poly].tolist())
+            return out.append_column(
+                "polygon_id", polys.id_array.take(pa.array(poly))
             )
-            return out
         # left/semi/anti need only the FIRST match → early-exit probe
         first = polys.contains_first(lon, lat)
         has = first >= 0
@@ -91,9 +89,8 @@ def pip_join(
         if mode == "anti":
             return batch.filter(pa.array(~has))
         if mode == "left":
-            ids = np.full(n, None, dtype=object)
-            ids[has] = polys.polygon_ids[first[has]]
-            return batch.append_column("polygon_id", pa.array(ids.tolist()))
+            hit = pa.array(first, mask=~has)
+            return batch.append_column("polygon_id", polys.id_array.take(hit))
         raise ValueError(f"unknown mode {mode}")
 
     return points.map_batches(
@@ -139,7 +136,7 @@ def pip_count(
         nz = np.nonzero(counts)[0]
         return pa.table(
             {
-                id_col: pa.array(idx.polygon_ids[nz].tolist()),
+                id_col: idx.id_array.take(pa.array(nz)),
                 "partial_n": pa.array(counts[nz], pa.int64()),
             }
         )
@@ -210,7 +207,7 @@ def pip_zonal_stats(
         )
         return pa.table(
             {
-                id_col: pa.array(idx.polygon_ids[keys].tolist()),
+                id_col: idx.id_array.take(pa.array(keys)),
                 "partial_n": pa.array(outs["partial_n"], pa.int64()),
                 "partial_sum": pa.array(outs["partial_sum"], pa.float64()),
                 "partial_min": pa.array(outs["partial_min"], pa.float64()),
@@ -381,13 +378,9 @@ def pip_join_partitioned(
         cell_here = group["cell"][0].as_py()
         own_cell = c.grid_cell(lon, lat, res) == cell_here
         pidx, poly = idx.contains(np.where(own_cell, lon, 1e9), np.where(own_cell, lat, 1e9))
-        matched = idx.polygon_ids[poly]
         out = {
             "pt_id": pts["pt_id"].take(pa.array(pidx)),
-            id_col: pa.array(
-                matched.tolist() if id_is_str else matched.astype(np.int64),
-                transport,
-            ),
+            id_col: idx.id_array.take(pa.array(poly)),
         }
         if value_col is not None:
             out["pval"] = pts["pval"].take(pa.array(pidx))
@@ -495,7 +488,7 @@ def rect_intersect_pairs(
         return pa.table(
             {
                 id_col: rid.take(pa.array(ridx)),
-                poly_id_col: pa.array(idx.polygon_ids[poly].tolist()),
+                poly_id_col: idx.id_array.take(pa.array(poly)),
             }
         )
 

@@ -2311,6 +2311,9 @@ def count_min_sketch(
     if width & (width - 1):
         raise ValueError("count_min_sketch: width must be a power of two")
     mask = np.uint64(width - 1)
+    # r·_CMS_INC per row as one array product, which wraps mod 2^64
+    # silently (a NumPy scalar product warns on the overflow)
+    row_inc = np.arange(depth, dtype=np.uint64) * _CMS_INC
 
     def partial(batch: pa.Table) -> pa.Table:
         k = (
@@ -2321,7 +2324,7 @@ def count_min_sketch(
         )
         outs = []
         for r in range(depth):
-            h = _mix64(k + np.uint64(r) * _CMS_INC)
+            h = _mix64(k + row_inc[r])
             slot = (h & mask).astype(np.int64)
             cnt = np.bincount(slot, minlength=width)
             nz = np.nonzero(cnt)[0]
@@ -2359,8 +2362,10 @@ def cms_estimate(
         dense[r_arr, s_arr] = n_arr
     k = np.asarray(keys, np.int64).view(np.uint64)
     est = np.full(k.shape[0], np.iinfo(np.int64).max, np.int64)
+    # wrapping array product, as in count_min_sketch
+    row_inc = np.arange(depth, dtype=np.uint64) * _CMS_INC
     for r in range(depth):
-        h = _mix64(k + np.uint64(r) * _CMS_INC)
+        h = _mix64(k + row_inc[r])
         est = np.minimum(est, dense[r, (h & mask).astype(np.int64)])
     return est
 
@@ -3090,7 +3095,7 @@ def tile_polygon_assign(
     return pa.table(
         {
             tile_col: pa.array(tiles[ridx], pa.int64()),
-            id_col: pa.array(index.polygon_ids[poly].tolist()),
+            id_col: index.id_array.take(pa.array(poly)),
         }
     )
 

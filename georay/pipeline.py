@@ -5,10 +5,12 @@ aggregation, with per-partition lineage records and checkpoint resume
 Scale notes (the 100 TB story):
 - the image ``bytes`` column never crosses a shuffle: the enriched
   assignment table (ids + cells + tiles + join results) is written per
-  input shard with no all-to-all, in ONE Ray Data execution per run —
-  the write tasks re-read what they wrote and return per-shard row
-  counts, checksum partials and histogram counts, which the driver
-  merges (no wide op, no second plan);
+  input shard with no all-to-all, in ONE Ray Data execution per run of
+  ONE fused operator — one task per input shard reads, transforms and
+  writes it as one row group per file, re-reads what it wrote and
+  returns the shard's row count, checksum partial and histogram counts,
+  which the driver merges (no wide op, no second plan, no block in the
+  object store between read and write);
 - resume is manifest-driven: each input shard is a partition whose
   output is validated by row count + an order-insensitive checksum;
   finished shards are skipped on rerun (content-addressed partition ids,
@@ -95,8 +97,9 @@ def save_manifest(out_dir: str, manifest: dict) -> None:
 
 class _ShardSink(ParquetDatasink):
     """Parquet sink of a resumable shard write that validates in the
-    write tasks. Directories, file names and bytes are those of
-    ``Dataset.write_parquet(path, partition_cols=...)``.
+    write tasks. Directories and file names are those of
+    ``Dataset.write_parquet(path, partition_cols=...)``; each file holds
+    a task's rows as one row group (up to 1M rows).
 
     After writing its files, each write task re-reads ``id_col`` and the
     ``count_cols`` from the files it just wrote, so the checks see what
@@ -106,7 +109,16 @@ class _ShardSink(ParquetDatasink):
     driver into ``stats`` {shard: (rows, id_checksum, [per-task counts])}."""
 
     def __init__(self, path: str, partition_cols: list[str], id_col, count_cols):
-        super().__init__(path, partition_cols=partition_cols, dataset_uuid=uuid.uuid4().hex)
+        # one row group per written file: a fused read hands the write a
+        # shard as one block per input row group, which pyarrow would
+        # write as one group each (min_rows_per_file would also merge
+        # them, but it gives the write a minimum bundle, which unfuses it)
+        super().__init__(
+            path,
+            partition_cols=partition_cols,
+            arrow_parquet_args={"row_group_size": 1 << 20},
+            dataset_uuid=uuid.uuid4().hex,
+        )
         self.id_col = id_col
         self.count_cols = list(count_cols)
         self.stats: dict[str, tuple[int, int, list]] = {}
@@ -176,10 +188,13 @@ def _write_shards(
     from the manifest are read, transformed and written through
     ``_ShardSink`` to ``out_dir/<data_dir>/shard=<name>/``; each is
     checked against its input footer's row count and recorded in the
-    manifest. With ``count_cols``, each finished shard's counts go to
-    its sidecar ``out_dir/_hist/<shard>.parquet`` before its manifest
-    entry is committed, and a manifest shard without a sidecar is
-    redone. Returns (manifest, pending input files, rows written)."""
+    manifest. The read yields one block per pending shard, so a
+    ``transform`` of row-wise maps fuses with read and write into one
+    operator: one task per shard, one row group per shard file. With
+    ``count_cols``, each finished shard's counts go to its sidecar
+    ``out_dir/_hist/<shard>.parquet`` before its manifest entry is
+    committed, and a manifest shard without a sidecar is redone.
+    Returns (manifest, pending input files, rows written)."""
     import shutil
 
     os.makedirs(out_dir, exist_ok=True)
@@ -199,15 +214,22 @@ def _write_shards(
     if not pending:
         return manifest, pending, 0
 
-    # ONE Dataset over all pending shards — read tasks parallelize across
-    # files; provenance via include_paths drives the partitioned output,
-    # so every input shard owns exactly one output directory
-    ds = rd.read_parquet(pending, columns=columns, include_paths=True)
+    # ONE Dataset over all pending shards, one block per shard: a read Ray
+    # splits never fuses with the maps after it, so this keeps read,
+    # transform and write one task per shard; provenance via
+    # include_paths drives the partitioned output, so every input shard
+    # owns exactly one output directory
+    ds = rd.read_parquet(
+        pending, columns=columns, include_paths=True, override_num_blocks=len(pending)
+    )
 
     def shard_col(batch: pa.Table) -> pa.Table:
-        shards = [_shard_of_path(p) for p in batch["path"].to_pylist()]
+        paths = pc.dictionary_encode(batch["path"].combine_chunks())
+        names = pa.array(
+            [_shard_of_path(p) for p in paths.dictionary.to_pylist()], pa.string()
+        )
         return batch.drop_columns(["path"]).append_column(
-            "shard", pa.array(shards, pa.string())
+            "shard", names.take(paths.indices)
         )
 
     ds = ds.map_batches(shard_col, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)

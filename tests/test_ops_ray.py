@@ -84,7 +84,7 @@ def test_pip_join_modes(images_dir, polygons_table, ray_session):
     exp_pairs = set(
         zip(
             np.asarray(src["image_id"].to_pylist())[pidx].tolist(),
-            idx.polygon_ids[poly].tolist(),
+            idx.id_array.take(pa.array(poly)).to_pylist(),
         )
     )
     got_pairs = {(r["image_id"], r["polygon_id"]) for r in inner}
@@ -1762,7 +1762,12 @@ def test_nearest_segment_partitioned_matches_broadcast(ray_session):
 def test_count_min_sketch_overestimate_and_exact(ray_session):
     """CMS estimates are one-sided (>= exact count) and exact for every
     key when width far exceeds the key domain (no collisions); width
-    must be a power of two."""
+    must be a power of two. The narrow sketch's counters and estimates
+    equal a pure-Python reference of the row hash
+    ``mix64(k + r·inc) & (width-1)``, and estimating raises no
+    overflow warning."""
+    import warnings
+
     import ray.data as rd
 
     from georay import ops
@@ -1776,7 +1781,9 @@ def test_count_min_sketch_overestimate_and_exact(ray_session):
         preserve_index=False,
     )
     probe = np.arange(40, dtype=np.int64)
-    est = ops.cms_estimate(sk, probe, width=4096, depth=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = ops.cms_estimate(sk, probe, width=4096, depth=3)
     exact = np.bincount(keys, minlength=40)
     assert np.all(est >= exact)
     assert np.array_equal(est, exact)  # 40 keys into 4096 slots x3 rows
@@ -1789,6 +1796,22 @@ def test_count_min_sketch_overestimate_and_exact(ray_session):
     est2 = ops.cms_estimate(sk2, probe, width=16, depth=2)
     assert np.all(est2 >= exact)
     assert est2.sum() > exact.sum()  # collisions must exist at width 16
+
+    def ref_slot(k, r, width):
+        h = (k + r * 0x9E3779B97F4A7C15) % 2**64
+        h ^= h >> 33
+        h = h * 0xFF51AFD7ED558CCD % 2**64
+        return (h ^ (h >> 33)) & (width - 1)
+
+    dense = np.zeros((2, 16), np.int64)
+    for r in range(2):
+        for k in keys.tolist():
+            dense[r, ref_slot(k, r, 16)] += 1
+    got = np.zeros((2, 16), np.int64)
+    got[sk2["r"].to_numpy(), sk2["slot"].to_numpy()] = sk2["n"].to_numpy()
+    assert np.array_equal(got, dense)
+    want = [min(dense[r, ref_slot(k, r, 16)] for r in range(2)) for k in range(40)]
+    assert est2.tolist() == want
 
     with pytest.raises(ValueError):
         ops.count_min_sketch(ds, "k", width=1000)

@@ -1,6 +1,7 @@
 """Flagship pipeline E2E: lineage manifest, checkpoint resume, per-row
 image invariant (PSNR/caption), run-to-run determinism."""
 
+import glob
 import json
 import os
 import shutil
@@ -201,6 +202,66 @@ def test_flagship_is_one_ray_data_execution(
     assert len(calls) == 1
     pipeline.run_flagship(images_dir, out, polygons, **kw)
     assert len(calls) == 1
+
+
+def test_flagship_is_one_fused_task_per_shard(
+    images_dir, polygons, tmp_path, ray_session, monkeypatch
+):
+    """Read, transform and write fuse into one task per pending shard:
+    a fresh run writes 4 shards in 4 write tasks, each shard as one file
+    of one row group, and a resume that redoes one shard runs 1 task."""
+    tasks = []
+    orig = pipeline._ShardSink.on_write_complete
+
+    def counting(self, write_result):
+        tasks.append(len(write_result.write_returns))
+        return orig(self, write_result)
+
+    monkeypatch.setattr(pipeline._ShardSink, "on_write_complete", counting)
+    out = str(tmp_path / "fused")
+    pipeline.run_flagship(images_dir, out, polygons, zoom=5)
+    assert tasks == [4]
+    manifest = pipeline.load_manifest(out)
+    for s in manifest:
+        shard_dir = os.path.join(out, "assign", f"shard={s}")
+        (name,) = os.listdir(shard_dir)
+        md = pq.read_metadata(os.path.join(shard_dir, name))
+        assert (md.num_rows, md.num_row_groups) == (500, 1)
+
+    victim = sorted(manifest)[1]
+    del manifest[victim]
+    pipeline.save_manifest(out, manifest)
+    s = pipeline.run_flagship(images_dir, out, polygons, zoom=5)
+    assert s["shards_processed_this_run"] == 1
+    assert tasks == [4, 1]
+    _assert_outputs_match_assign(out)
+
+
+def test_flagship_all_miss_shard_types_polygon_id(polygons, tmp_path, ray_session):
+    """A shard where no point hits a polygon (every geotag null) still
+    writes ``polygon_id`` typed like the polygons' id column, not as an
+    Arrow null column, so the shards read back as one schema."""
+    import pyarrow as pa
+
+    src = str(tmp_path / "imgs")
+    generate.write_images_dataset(src, 1000, seed=42, rows_per_file=500)
+    path = os.path.join(src, "images-00001.parquet")
+    t = pq.read_table(path)
+    i = t.schema.get_field_index("geotag")
+    nulls = pa.array([None] * t.num_rows, t.schema.field(i).type)
+    pq.write_table(t.set_column(i, t.schema.field(i), nulls), path)
+
+    out = str(tmp_path / "out")
+    assert pipeline.run_flagship(src, out, polygons, zoom=5)["rows"] == 1000
+    files = sorted(glob.glob(os.path.join(out, "assign", "shard=*", "*.parquet")))
+    assert {os.path.basename(os.path.dirname(f)) for f in files} == {
+        "shard=images-00000", "shard=images-00001"
+    }
+    want = polygons.schema.field("polygon_id").type
+    for f in files:
+        assert pq.read_schema(f).field("polygon_id").type == want
+    miss = pq.read_table(os.path.join(out, "assign", "shard=images-00001"))
+    assert miss["polygon_id"].null_count == 500
 
 
 def test_image_invariant_psnr_and_captions(images_dir, ray_session):
