@@ -2289,6 +2289,14 @@ def add_regex_extract(
 _CMS_INC = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 increment
 
 
+def _cms_row_hashes(k: np.ndarray, depth: int):
+    """Count-min row r's hash ``mix64(k + r·_CMS_INC)`` for r < depth.
+    The offsets are one array product, which wraps mod 2^64 silently
+    (a NumPy uint64 scalar product warns on the overflow)."""
+    row_inc = np.arange(depth, dtype=np.uint64) * _CMS_INC
+    return (_mix64(k + inc) for inc in row_inc)
+
+
 def count_min_sketch(
     ds: ray.data.Dataset,
     key_col: str,
@@ -2311,9 +2319,6 @@ def count_min_sketch(
     if width & (width - 1):
         raise ValueError("count_min_sketch: width must be a power of two")
     mask = np.uint64(width - 1)
-    # r·_CMS_INC per row as one array product, which wraps mod 2^64
-    # silently (a NumPy scalar product warns on the overflow)
-    row_inc = np.arange(depth, dtype=np.uint64) * _CMS_INC
 
     def partial(batch: pa.Table) -> pa.Table:
         k = (
@@ -2323,8 +2328,7 @@ def count_min_sketch(
             .view(np.uint64)
         )
         outs = []
-        for r in range(depth):
-            h = _mix64(k + row_inc[r])
+        for r, h in enumerate(_cms_row_hashes(k, depth)):
             slot = (h & mask).astype(np.int64)
             cnt = np.bincount(slot, minlength=width)
             nz = np.nonzero(cnt)[0]
@@ -2362,10 +2366,7 @@ def cms_estimate(
         dense[r_arr, s_arr] = n_arr
     k = np.asarray(keys, np.int64).view(np.uint64)
     est = np.full(k.shape[0], np.iinfo(np.int64).max, np.int64)
-    # wrapping array product, as in count_min_sketch
-    row_inc = np.arange(depth, dtype=np.uint64) * _CMS_INC
-    for r in range(depth):
-        h = _mix64(k + row_inc[r])
+    for r, h in enumerate(_cms_row_hashes(k, depth)):
         est = np.minimum(est, dense[r, (h & mask).astype(np.int64)])
     return est
 

@@ -190,8 +190,9 @@ def _write_shards(
     checked against its input footer's row count and recorded in the
     manifest. The read yields one block per pending shard, so a
     ``transform`` of row-wise maps fuses with read and write into one
-    operator: one task per shard, one row group per shard file. With
-    ``count_cols``, each finished shard's counts go to its sidecar
+    operator: one task per shard, one row group per shard file. So a
+    run has no more tasks than pending shards, and each write task
+    holds its whole shard's transformed output. With ``count_cols``, each finished shard's counts go to its sidecar
     ``out_dir/_hist/<shard>.parquet`` before its manifest entry is
     committed, and a manifest shard without a sidecar is redone.
     Returns (manifest, pending input files, rows written)."""
