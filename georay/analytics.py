@@ -15,6 +15,9 @@ not per-entity Python.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -822,91 +825,165 @@ def label_propagation(
     )
 
 
+# ------------------------------------------------------------ superstep engine
+
+# Row kinds in a superstep: a program's edge rows (keyed by source), its
+# state rows (one per node), the messages between them, and rows that
+# only say their node exists (a directed edge's head).
+_EDGE, _STATE, _MSG, _NODE = 0, 1, 2, 3
+
+
+def _rows(node: np.ndarray, kind: int, a: np.ndarray, b=None) -> pa.Table:
+    """Superstep rows in the one layout every side shares: ``node`` is
+    the key each superstep buckets on, ``kind`` one of the row kinds
+    above, ``a`` and ``b`` the program's two int64 values."""
+    n = node.shape[0]
+    return pa.table({
+        "node": pa.array(node, pa.int64()),
+        "kind": pa.array(np.full(n, kind, np.int8)),
+        "a": pa.array(a, pa.int64()),
+        "b": pa.array(np.zeros(n, np.int64) if b is None else b, pa.int64()),
+    })
+
+
+def _columns(group: pa.Table) -> tuple[np.ndarray, ...]:
+    """``(node, kind, a, b)`` of a superstep group as NumPy arrays."""
+    return tuple(
+        group[c].to_numpy(zero_copy_only=False) for c in ("node", "kind", "a", "b")
+    )
+
+
+def _state(node, kind, *vals) -> tuple[np.ndarray, ...]:
+    """The group's ``_STATE`` rows sorted by node: ``(node, *vals)``."""
+    s = kind == _STATE
+    order = np.argsort(node[s])
+    return tuple(v[s][order] for v in (node, *vals))
+
+
+def _edge_rows(
+    edges: ray.data.Dataset,
+    id_a: str = "a",
+    id_b: str = "b",
+    weight_fn=None,
+    directed: bool = False,
+) -> ray.data.Dataset:
+    """The static edge side of a superstep program, materialized once:
+    one ``_EDGE`` row per direction an edge is followed in (both unless
+    ``directed``), keyed by its source, with ``a`` = destination and
+    ``b`` = ``weight_fn(a, b)`` (0 without one). A directed edge also
+    gives its head a ``_NODE`` row, so superstep 0 sees pure sinks."""
+
+    def to_rows(batch: pa.Table) -> pa.Table:
+        a = batch[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = batch[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
+        w = (
+            np.zeros(a.shape[0], np.int64) if weight_fn is None
+            else np.asarray(weight_fn(a, b), dtype=np.int64)
+        )
+        if directed:
+            return pa.concat_tables([_rows(a, _EDGE, b, w), _rows(b, _NODE, a)])
+        return _rows(
+            np.concatenate([a, b]), _EDGE, np.concatenate([b, a]),
+            np.concatenate([w, w]),
+        )
+
+    return edges.map_batches(
+        to_rows, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    ).materialize()
+
+
+def _supersteps(
+    program, edges=None, rows=None, *, n_buckets: int
+) -> ray.data.Dataset:
+    """Run a vertex program (Pregel, run as dataflow as in GraphX) and
+    return the rows of its last superstep.
+
+    A superstep is ONE node-keyed ``co_shuffle`` of the carried ``rows``
+    (the program's state plus the messages the last superstep sent)
+    with the static ``edges`` rows, materialized once. Inside a bucket a
+    node's state, its out-edges and the messages addressed to it meet,
+    so ``program.step(i, group)`` applies the messages, updates the
+    state and sends the next messages in one vectorized call. Superstep
+    0 sees the initial ``rows`` (if any) and ``edges`` (if any).
+
+    ``program.halt(i, n_rows)`` decides from the round's row count, read
+    from the materialized blocks' metadata, so the termination test
+    costs no execution: the shortest-path program compares it with the
+    node count superstep 0 measures (equal means no message is in
+    flight), the components program with the count of a star forest."""
+    for i in itertools.count():
+        sides = [s for s in (rows, edges) if s is not None]
+        rows = co_shuffle(
+            sides, "node", functools.partial(program.step, i),
+            n_buckets=n_buckets, coalesce=False,
+        ).materialize()
+        if program.halt(i, rows.count()):
+            return rows
+
+
+class _LabelPropagation:
+    """``label_propagation_partitioned`` as a superstep program. State
+    rows are ``(node, label)``; a message is ``(dst, label, count)``:
+    how many of one bucket's nodes with that label border ``dst``.
+
+    Superstep 0 labels every node with its own id; superstep r applies
+    round r, the modal label of the messages (``_lpa_mode_pick``: count
+    DESC, label ASC). Supersteps 0..rounds-1 send every node's label
+    along its edges."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def step(self, i: int, group: pa.Table) -> pa.Table:
+        node, kind, a, b = _columns(group)
+        e = kind == _EDGE
+        if i == 0:
+            nodes = np.unique(node[e])
+            label = nodes
+        else:
+            nodes, label = _state(node, kind, a)
+            m = kind == _MSG
+            (mn, ml), c = _group_reduce([node[m], a[m]], {"c": b[m]})
+            won, wl = _lpa_mode_pick(mn, ml, c["c"])
+            label = label.copy()
+            label[np.searchsorted(nodes, won)] = wl
+        out = [_rows(nodes, _STATE, label)]
+        if i < self.rounds:
+            at = np.searchsorted(nodes, node[e])
+            (dst, dl), c = _group_reduce(
+                [a[e], label[at]], {"c": np.ones(at.shape[0], np.int64)}
+            )
+            out.append(_rows(dst, _MSG, dl, c["c"]))
+        return pa.concat_tables(out)
+
+    def halt(self, i: int, n_rows: int) -> bool:
+        return i == self.rounds
+
+
 def label_propagation_partitioned(
     edges: ray.data.Dataset,
     rounds: int = 3,
     n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Billion-node twin of ``label_propagation``: labels NEVER land on
-    the driver — per round (1) the symmetric edge list equality-joins
-    the label Dataset on the source node (``equi_join_partitioned``:
-    one key-bucket co-shuffle, labels are the keys-plus-one-column
-    side), (2) per-batch map-side-combined (dst, label) count partials
-    co-shuffle ONCE by dst hash bucket, and each bucket merges its
-    counts and picks the modal label (count DESC, label ASC) in one
-    vectorized ``map_groups`` — TWO exchanges per round, every table
-    o(its bucket), no global aggregate. Identical deterministic
-    dynamics, same unrolled-CTE oracle."""
-    from georay.ops import equi_join_partitioned
-
-    def to_sym(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "s": pa.array(np.concatenate([a, b]), pa.int64()),
-                "d": pa.array(np.concatenate([b, a]), pa.int64()),
-            }
-        )
-
-    sym = edges.map_batches(
-        to_sym, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).materialize()
+    the driver. It is the ``_LabelPropagation`` superstep program: per
+    round ONE node-keyed co-shuffle, in which each bucket holds its
+    nodes' labels, their edges and the (dst, label, count) messages
+    addressed to them, applies the modal pick and sends the new labels
+    on (``rounds + 1`` co-shuffles in all), every table o(its bucket),
+    no global aggregate. Identical deterministic dynamics, same
+    unrolled-CTE oracle."""
+    sym = _edge_rows(edges)
     if sym.count() == 0:
         return ray.data.from_arrow(
             pa.table({"node": pa.array([], pa.int64()),
                       "label": pa.array([], pa.int64())})
         )
-
-    # initial labels = distinct endpoints, label = own id (distinct
-    # within a key bucket is globally distinct)
-    def distinct_nodes(group: pa.Table) -> pa.Table:
-        s = np.unique(group["s"].to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table(
-            {"node": pa.array(s, pa.int64()), "label": pa.array(s, pa.int64())}
-        )
-
-    labels = co_shuffle(
-        sym, "s", distinct_nodes, n_buckets=n_buckets, coalesce=True
-    ).materialize()
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        d = batch["d"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lb = batch["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ks, vs = _group_reduce(
-            [d, lb], {"partial_c": np.ones(d.shape[0], np.int64)}
-        )
-        return pa.table(
-            {
-                "node": pa.array(ks[0], pa.int64()),
-                "lab": pa.array(ks[1], pa.int64()),
-                "partial_c": pa.array(vs["partial_c"], pa.int64()),
-            }
-        )
-
-    def merge_pick(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lab = group["lab"].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = group["partial_c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        (gn, gl), outs = _group_reduce([node, lab], {"c": c})
-        un, ul = _lpa_mode_pick(gn, gl, outs["c"])
-        return pa.table(
-            {"node": pa.array(un, pa.int64()), "label": pa.array(ul, pa.int64())}
-        )
-
-    for _ in range(rounds):
-        j = equi_join_partitioned(
-            sym, labels, on="s", right_on="node", how="inner",
-            n_buckets=n_buckets,
-        )
-        partials = j.map_batches(
-            count_partial, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        labels = co_shuffle(
-            partials, "node", merge_pick, n_buckets=n_buckets, coalesce=True
-        ).materialize()
-    return labels
+    out = _supersteps(_LabelPropagation(rounds), sym, n_buckets=n_buckets)
+    return out.map_batches(
+        lambda t: pa.table({"node": t["node"], "label": t["a"]}),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+    )
 
 
 def modularity(
@@ -2792,27 +2869,17 @@ def _attach_lookup(
     the lookup table (e.g. node degrees) exceeds the broadcast cutoff.
     All named columns must be int64; every key must be present in the
     lookup (callers pass complete node tables)."""
-    from georay import ops
-
-    nb = np.uint64(n_buckets)
     ki = cols.index(key_col)
 
-    def _bucket(arr: np.ndarray) -> np.ndarray:
-        return (ops._mix64(arr.view(np.uint64).copy()) % nb).astype(np.int64)
-
     def tag_main(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        out = {"_b": pa.array(_bucket(k), pa.int64()),
-               "kind": pa.array(np.ones(len(batch), np.int8))}
+        out = {"kind": pa.array(np.ones(len(batch), np.int8))}
         for i, c in enumerate(cols):
             out[f"c{i}"] = batch[c].cast(pa.int64())
         out["v"] = pa.array(np.zeros(len(batch), np.int64))
         return pa.table(out)
 
     def tag_lk(batch: pa.Table) -> pa.Table:
-        k = batch[lk_key].to_numpy(zero_copy_only=False).astype(np.int64)
-        out = {"_b": pa.array(_bucket(k), pa.int64()),
-               "kind": pa.array(np.zeros(len(batch), np.int8))}
+        out = {"kind": pa.array(np.zeros(len(batch), np.int8))}
         for i, c in enumerate(cols):
             out[f"c{i}"] = (
                 batch[lk_key].cast(pa.int64()) if i == ki
@@ -2858,53 +2925,58 @@ def _attach_lookup(
         )
         return pa.table(out)
 
-    return co_shuffle(sides, "_b", attach, coalesce=False)
+    return co_shuffle(sides, f"c{ki}", attach, n_buckets=n_buckets, coalesce=False)
 
-def degree_table_partitioned(
-    edges: ray.data.Dataset, n_buckets: int = 64
-) -> ray.data.Dataset:
-    """(node, degree) with the final reduce SHARDED by hash(node) bucket
-    instead of tree_sum's single merge task — the node table stays
-    distributed end-to-end (billion-node scale path)."""
-    from georay import ops
 
-    nb = np.uint64(n_buckets)
+class _PageRank:
+    """``pagerank_partitioned`` as a superstep program. State rows are
+    ``(node, degree, rank)``; a message is a destination's summed
+    ``rank // degree`` share from one bucket.
 
-    def endpoint_counts(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        node = np.concatenate([a, b])
-        ks, vs = _group_reduce(
-            [node], {"partial_deg": np.ones(node.shape[0], np.int64)}
-        )
-        return pa.table(
-            {
-                "_b": pa.array(
-                    (ops._mix64(ks[0].view(np.uint64).copy()) % nb).astype(np.int64)
-                ),
-                "node": pa.array(ks[0], pa.int64()),
-                "partial_deg": pa.array(vs["partial_deg"], pa.int64()),
-            }
-        )
+    Superstep 0 counts each node's edge rows (its degree; a bucket holds
+    every edge of its sources) and sends one message per edge row, the
+    source's degree, so its row count less the edge rows is the node
+    count n. Superstep i ≥ 1 applies damped power iteration i, to the
+    start rank ``scale // n`` at i = 1, and sends shares while
+    i < ``n_iter``."""
 
-    def sum_per_node(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        pd_ = group["partial_deg"].to_numpy(zero_copy_only=False)
-        (keys,), outs = _group_reduce([node], {"d": pd_})
-        return pa.table(
-            {
-                "node": pa.array(keys, pa.int64()),
-                "degree": pa.array(outs["d"], pa.int64()),
-            }
-        )
+    def __init__(self, n_iter, damping_num, damping_den, scale_bits,
+                 n_edge_rows):
+        self.n_iter, self.num, self.den = n_iter, damping_num, damping_den
+        self.scale, self.n_edge_rows = 1 << scale_bits, n_edge_rows
+        self.n_nodes = None
 
-    return co_shuffle(
-        edges.map_batches(
-            endpoint_counts, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        ),
-        "_b", sum_per_node, coalesce=False,
-    )
+    def step(self, i: int, group: pa.Table) -> pa.Table:
+        node, kind, a, _ = _columns(group)
+        e = kind == _EDGE
+        if i == 0:
+            nodes, deg = np.unique(node, return_counts=True)
+            out = [_rows(nodes, _STATE, deg)]
+            if self.n_iter:
+                out.append(_rows(a, _MSG, deg[np.searchsorted(nodes, node)]))
+            return pa.concat_tables(out)
+        nodes, deg = _state(node, kind, a)
+        start = self.scale // self.n_nodes
+        if self.n_iter == 0:
+            rank = np.full(nodes.shape[0], start, np.int64)
+        else:
+            m = kind == _MSG
+            s = np.zeros(nodes.shape[0], np.int64)
+            share = start // a[m] if i == 1 else a[m]
+            np.add.at(s, np.searchsorted(nodes, node[m]), share)
+            base_q = ((self.den - self.num) * self.scale) // (self.den * self.n_nodes)
+            rank = base_q + (self.num * s) // self.den
+        out = [_rows(nodes, _STATE, deg, rank)]
+        if i < self.n_iter:
+            at = np.searchsorted(nodes, node[e])
+            (dst,), share = _group_reduce([a[e]], {"s": rank[at] // deg[at]})
+            out.append(_rows(dst, _MSG, share["s"]))
+        return pa.concat_tables(out)
+
+    def halt(self, i: int, n_rows: int) -> bool:
+        if i == 0:
+            self.n_nodes = n_rows - (self.n_edge_rows if self.n_iter else 0)
+        return i == max(self.n_iter, 1)
 
 
 def pagerank_partitioned(
@@ -2916,127 +2988,24 @@ def pagerank_partitioned(
     n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Partitioned-state twin of ``pagerank``: the (node, degree, rank)
-    table is never collected on the driver or broadcast. Each power
-    iteration is TWO hash-bucket groupbys (same fused co-shuffle shape
-    as ``connected_components_partitioned``): (1) state and symmetric
-    edges co-shuffled by hash(src) — contributions ``rank // degree``
-    scatter to destinations; (2) candidates re-shuffled by hash(dst) —
-    per-node integer sum + the damping update. Identical fixed-point
-    integer arithmetic, so it is bit-equal to the broadcast twin and
-    shares its chained-CTE SQL oracle. Driver state: one scalar (node
-    count, for the teleport base)."""
-    from georay import ops
-
-    nb = np.uint64(n_buckets)
-
-    def _bucket(arr: np.ndarray) -> np.ndarray:
-        return (ops._mix64(arr.view(np.uint64).copy()) % nb).astype(np.int64)
-
-    state = degree_table_partitioned(edges, n_buckets).materialize()
-    n = state.count()
-    if n == 0:
+    table is never collected on the driver or broadcast. It is the
+    ``_PageRank`` superstep program: one node-keyed co-shuffle that
+    counts degrees, then one per power iteration. Identical fixed-point
+    integer
+    arithmetic, so it is bit-equal to the broadcast twin and shares its
+    chained-CTE SQL oracle. Driver state: one scalar (node count, for
+    the teleport base), read from block metadata."""
+    sym = _edge_rows(edges)
+    n_edge_rows = sym.count()
+    if n_edge_rows == 0:
         return ray.data.from_arrow(
             pa.table({"node": pa.array([], pa.int64()),
                       "rank_q": pa.array([], pa.int64())})
         )
-    scale = 1 << scale_bits
-    base_q = ((damping_den - damping_num) * scale) // (damping_den * n)
-    init_rank = scale // n
-
-    def add_rank(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "rank", pa.array(np.full(len(batch), init_rank, np.int64))
-        )
-
-    state = state.map_batches(
-        add_rank, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).materialize()
-
-    def sym_edges(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        return pa.table(
-            {
-                "_b": pa.array(_bucket(src), pa.int64()),
-                "kind": pa.array(np.ones(src.shape[0], np.int8)),
-                "x": pa.array(src, pa.int64()),
-                "y": pa.array(dst, pa.int64()),
-                "z": pa.array(np.zeros(src.shape[0], np.int64)),
-            }
-        )
-
-    ed_tagged = edges.map_batches(
-        sym_edges, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).materialize()
-
-    def tag_state(batch: pa.Table) -> pa.Table:
-        node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "_b": pa.array(_bucket(node), pa.int64()),
-                "kind": pa.array(np.zeros(len(batch), np.int8)),
-                "x": batch["node"],
-                "y": batch["degree"],
-                "z": batch["rank"],
-            }
-        )
-
-    def scatter(group: pa.Table) -> pa.Table:
-        kind = group["kind"].to_numpy(zero_copy_only=False)
-        x = group["x"].to_numpy(zero_copy_only=False).astype(np.int64)
-        y = group["y"].to_numpy(zero_copy_only=False).astype(np.int64)
-        z = group["z"].to_numpy(zero_copy_only=False).astype(np.int64)
-        is_st = kind == 0
-        sn, sd, sr = x[is_st], y[is_st], z[is_st]
-        order = np.argsort(sn, kind="stable")
-        sn, sd, sr = sn[order], sd[order], sr[order]
-        contrib = sr // sd
-        src, dst = x[~is_st], y[~is_st]
-        c = contrib[np.searchsorted(sn, src)] if sn.size else src
-        node = np.concatenate([dst, sn])
-        s = np.concatenate([c, np.zeros(sn.shape[0], np.int64)])
-        deg = np.concatenate([np.zeros(dst.shape[0], np.int64), sd])
-        return pa.table(
-            {
-                "_b": pa.array(_bucket(node), pa.int64()),
-                "node": pa.array(node, pa.int64()),
-                "s": pa.array(s, pa.int64()),
-                "deg": pa.array(deg, pa.int64()),
-            }
-        )
-
-    def gather(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        s = group["s"].to_numpy(zero_copy_only=False)
-        deg = group["deg"].to_numpy(zero_copy_only=False)
-        (keys,), outs = _group_reduce(
-            [node], {"s": s, "deg": deg},
-            ufunc={"s": np.add, "deg": np.maximum},
-        )
-        rank = base_q + (damping_num * outs["s"]) // damping_den
-        return pa.table(
-            {
-                "node": pa.array(keys, pa.int64()),
-                "degree": pa.array(outs["deg"], pa.int64()),
-                "rank": pa.array(rank, pa.int64()),
-            }
-        )
-
-    for _ in range(n_iter):
-        tagged = state.map_batches(
-            tag_state, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        scattered = co_shuffle([tagged, ed_tagged], "_b", scatter, coalesce=False)
-        state = co_shuffle(scattered, "_b", gather, coalesce=False).materialize()
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"], "rank_q": batch["rank"]})
-
-    return state.map_batches(
-        finish, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    program = _PageRank(n_iter, damping_num, damping_den, scale_bits, n_edge_rows)
+    return _supersteps(program, sym, n_buckets=n_buckets).map_batches(
+        lambda t: pa.table({"node": t["node"], "rank_q": t["b"]}),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
     )
 
 
@@ -3115,168 +3084,20 @@ def bfs_hops_partitioned(
     n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Distributed twin of ``bfs_hops``: the (node, hops) label table is
-    NEVER collected or broadcast. Level-synchronous frontier expansion,
-    two hash-bucket co-shuffles per hop (the ``pagerank_partitioned`` /
-    ``connected_components_partitioned`` shape):
-
-    1. frontier ⋈ edges on ``hash(src) % n_buckets`` — inside a bucket
-       every frontier node's incident edges are present, so candidate
-       generation is one sorted-membership filter;
-    2. candidates ⋈ labels on ``hash(node)`` — a candidate already
-       labeled is dropped, the rest join the table at hop h and form the
-       next frontier (carried IN the label table as a ``fresh`` flag —
-       no second state object).
-
-    Driver state per round: ONE scalar (the fresh count) for the
-    termination test. Memory per task is o(nodes / n_buckets); rounds
-    are bounded by ``max_hops``. Identical rows to the broadcast twin."""
-    from georay import ops as _ops
-
-    nb = np.uint64(n_buckets)
-
-    def _bucket(arr: np.ndarray) -> np.ndarray:
-        return (_ops._mix64(arr.view(np.uint64).copy()) % nb).astype(np.int64)
-
-    def to_sym(batch: pa.Table) -> pa.Table:
-        a = batch[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        return pa.table(
-            {
-                "_b": pa.array(_bucket(src), pa.int64()),
-                "kind": pa.array(np.ones(src.shape[0], np.int8)),
-                "node": pa.array(src, pa.int64()),
-                "val": pa.array(dst, pa.int64()),
-            }
-        )
-
-    sym = edges.map_batches(
-        to_sym, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).materialize()
-
-    # labels: (node, hops, fresh). Round 0: seeds straight off the edge
-    # endpoints (a node matching the predicate is a seed iff it is a
-    # graph node, and every graph node appears as some edge's src).
-    def seed0(batch: pa.Table) -> pa.Table:
-        node = batch["node"].to_numpy(zero_copy_only=False)
-        m = np.asarray(seed_pred(node), bool)
-        sel = np.unique(node[m])
-        return pa.table(
-            {
-                "node": pa.array(sel, pa.int64()),
-                "hops": pa.array(np.zeros(sel.shape[0], np.int64)),
-                "fresh": pa.array(np.ones(sel.shape[0], np.int64)),
-            }
-        )
-
-    seeds = sym.map_batches(
-        seed0, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).map_batches(
-        lambda b: b.append_column(
-            "_b",
-            pa.array(
-                _bucket(b["node"].to_numpy(zero_copy_only=False).astype(np.int64)),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+    NEVER collected or broadcast. It is ``sssp_partitioned`` with unit
+    weights: the ``_ShortestPaths`` superstep program, one node-keyed
+    co-shuffle per hop (a frontier node sends ``hops + 1`` along its
+    edges, the receiving bucket keeps the smaller count), the first of
+    which also seeds the table. The driver reads one row count per hop
+    from block metadata. Memory per task is o(nodes / n_buckets); rounds are
+    bounded by ``max_hops``. Identical rows to the broadcast twin."""
+    out = sssp_partitioned(
+        edges, seed_pred, lambda a, b: np.ones(a.shape[0], np.int64),
+        rounds=max_hops, id_a=id_a, id_b=id_b, n_buckets=n_buckets,
     )
-    labels = co_shuffle(seeds, "_b", _dedup_label_rows, coalesce=False).materialize()
-    from ray.data.aggregate import Sum
-
-    n_fresh = labels.aggregate(Sum("fresh", alias_name="f"))["f"] or 0
-
-    def tag_frontier(batch: pa.Table) -> pa.Table:
-        m = pc.equal(batch["fresh"], 1)
-        sub = batch.filter(m)
-        node = sub["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "_b": pa.array(_bucket(node), pa.int64()),
-                "kind": pa.array(np.zeros(node.shape[0], np.int8)),
-                "node": pa.array(node, pa.int64()),
-                "val": pa.array(np.zeros(node.shape[0], np.int64)),
-            }
-        )
-
-    def expand(group: pa.Table) -> pa.Table:
-        kind = group["kind"].to_numpy(zero_copy_only=False)
-        node = group["node"].to_numpy(zero_copy_only=False)
-        val = group["val"].to_numpy(zero_copy_only=False)
-        is_fr = kind == 0
-        fr = np.unique(node[is_fr])
-        if fr.shape[0] == 0:
-            return pa.table({"node": pa.array([], pa.int64())})
-        es, ed = node[~is_fr], val[~is_fr]
-        pos = np.searchsorted(fr, es)
-        hit = (pos < fr.shape[0]) & (fr[np.minimum(pos, fr.shape[0] - 1)] == es)
-        cand = np.unique(ed[hit])
-        return pa.table({"node": pa.array(cand, pa.int64())})
-
-    for h in range(1, max_hops + 1):
-        if not n_fresh:
-            break
-        frontier = labels.map_batches(
-            tag_frontier, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        cand = co_shuffle([frontier, sym], "_b", expand, coalesce=False)
-
-        def tag_cand(batch: pa.Table, _h=h) -> pa.Table:
-            node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "_b": pa.array(_bucket(node), pa.int64()),
-                    "node": pa.array(node, pa.int64()),
-                    "hops": pa.array(np.full(node.shape[0], _h, np.int64)),
-                    "fresh": pa.array(np.ones(node.shape[0], np.int64)),
-                }
-            )
-
-        def tag_lab(batch: pa.Table) -> pa.Table:
-            node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "_b": pa.array(_bucket(node), pa.int64()),
-                    "node": pa.array(node, pa.int64()),
-                    "hops": batch["hops"],
-                    "fresh": pa.array(np.zeros(node.shape[0], np.int64)),
-                }
-            )
-
-        sides = [
-            d.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=None)
-            for d, tag in ((cand, tag_cand), (labels, tag_lab))
-        ]
-        labels = co_shuffle(sides, "_b", _dedup_label_rows, coalesce=False).materialize()
-        n_fresh = labels.aggregate(Sum("fresh", alias_name="f"))["f"] or 0
-
-    return labels.map_batches(
-        lambda b: b.select(["node", "hops"]),
+    return out.map_batches(
+        lambda t: t.rename_columns(["node", "hops"]),
         batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-    )
-
-
-def _dedup_label_rows(g: pa.Table) -> pa.Table:
-    """Keep the min-hop row per node; a node present with fresh=0 keeps
-    its existing label (old rows always carry the smaller hop, and ties
-    prefer fresh=0 so an already-labeled node never re-enters the
-    frontier)."""
-    node = g["node"].to_numpy(zero_copy_only=False)
-    hops = g["hops"].to_numpy(zero_copy_only=False)
-    fresh = g["fresh"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((fresh, hops, node))
-    node, hops, fresh = node[order], hops[order], fresh[order]
-    first = np.ones(node.shape[0], bool)
-    first[1:] = node[1:] != node[:-1]
-    return pa.table(
-        {
-            "node": pa.array(node[first], pa.int64()),
-            "hops": pa.array(hops[first], pa.int64()),
-            "fresh": pa.array(fresh[first], pa.int64()),
-        }
     )
 
 
@@ -3898,10 +3719,7 @@ def edge_jaccard(
     degree-penalized link-prediction score (Adamic-Adar family, with
     1/deg instead of 1/log deg so it stays an exact integer). The
     degree table broadcasts once (node tables are vocabulary-sized
-    here; degree_table_partitioned is the billion-node alternative)."""
-    from georay import ops as _ops
-
-    nb = np.uint64(n_buckets)
+    here)."""
     edges = _rename_edges(edges, id_a, id_b)
 
     deg_ref = None
@@ -3912,9 +3730,6 @@ def edge_jaccard(
             dd = dt["degree"].to_numpy(zero_copy_only=False).astype(np.int64)
             o = np.argsort(dn)
             deg_ref = exchange.broadcast((dn[o], dd[o]))
-
-    def _bucket(arr: np.ndarray) -> np.ndarray:
-        return (_ops._mix64(arr.view(np.uint64).copy()) % nb).astype(np.int64)
 
     def msgs(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3932,10 +3747,6 @@ def edge_jaccard(
         )
         return pa.table(
             {
-                "_b": pa.array(
-                    np.concatenate([_bucket(node), _bucket(pnode)]),
-                    pa.int64(),
-                ),
                 "kind": pa.array(
                     np.concatenate(
                         [np.zeros(2 * n, np.int8), np.ones(2 * n, np.int8)]
@@ -3987,18 +3798,8 @@ def edge_jaccard(
             msgs, batch_format="pyarrow", zero_copy_batch=True,
             batch_size=None,
         ),
-        "_b", join_nbrs, coalesce=False,
+        "node", join_nbrs, n_buckets=n_buckets, coalesce=False,
     )
-
-    def pair_bucket(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = _ops._mix64(
-            (a.view(np.uint64) * np.uint64(0x100000001B3)) ^ b.view(np.uint64)
-        )
-        return batch.append_column(
-            "_pb", pa.array((h % nb).astype(np.int64))
-        )
 
     def fold(group: pa.Table) -> pa.Table:
         a = group["a"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4048,13 +3849,7 @@ def edge_jaccard(
             cols["ra_q"] = pa.array(ra, pa.int64())
         return pa.table(cols)
 
-    return co_shuffle(
-        rows.map_batches(
-            pair_bucket, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        ),
-        "_pb", fold, coalesce=False,
-    )
+    return co_shuffle(rows, ["a", "b"], fold, n_buckets=n_buckets, coalesce=False)
 
 
 def negative_edge_samples(
@@ -4623,10 +4418,10 @@ def sssp_rounds(
     Below ``local_edge_cutoff``: one-task CSR with ``np.minimum.at``
     scatter-min per round. Above: the label-correcting partitioned
     loop — (node, dist) labels stay hash-sharded, only IMPROVED nodes
-    (the frontier) ship through the per-round edge co-shuffle, the
-    driver sees one scalar per round (the ``bfs_hops_partitioned``
-    shape with hop counts generalized to weighted dists). Both plans
-    emit identical rows."""
+    (the frontier) send along their edges, one node-keyed co-shuffle
+    per round (the ``_ShortestPaths`` superstep program, which
+    ``bfs_hops_partitioned`` runs with unit weights). Both plans emit
+    identical rows."""
     n_edges = edges.count()
     if n_edges > local_edge_cutoff:
         return sssp_partitioned(
@@ -4667,6 +4462,61 @@ def sssp_rounds(
     )
 
 
+class _ShortestPaths:
+    """``sssp_partitioned`` (and ``bfs_hops_partitioned``, its
+    unit-weight case) as a superstep program: label-correcting
+    Bellman-Ford. State rows are ``(node, dist)``, one per node, with
+    ``_SSSP_INF`` until reached; a message is a candidate ``dist + w``.
+
+    Superstep 0 writes the state (seeds at 0) and sends one message per
+    edge row (``_SSSP_INF`` from a non-seed), so its row count less the
+    edge rows is the node count. Superstep i ≥ 1 applies round i: a node
+    keeps its smallest message when it is smaller than its dist (ties
+    keep the old row). While i < ``rounds``, the nodes whose dist just
+    fell send ``dist + w`` along their out-edges, one min-combined
+    message per destination and bucket. The run halts when no message
+    is in flight, after superstep ``rounds`` at the latest."""
+
+    def __init__(self, seed_pred, rounds, n_edge_rows):
+        self.seed_pred, self.rounds = seed_pred, rounds
+        self.n_edge_rows, self.n_nodes = n_edge_rows, None
+
+    def step(self, i: int, group: pa.Table) -> pa.Table:
+        node, kind, a, b = _columns(group)
+        e = kind == _EDGE
+        if i == 0:
+            nodes = np.unique(node)
+            seed = np.asarray(self.seed_pred(nodes), bool)
+            out = [_rows(nodes, _STATE, np.where(seed, 0, _SSSP_INF))]
+            if self.rounds:
+                sent = seed[np.searchsorted(nodes, node)] & e
+                out.append(_rows(a, _MSG, np.where(sent, b, _SSSP_INF)))
+            return pa.concat_tables(out)
+        nodes, dist = _state(node, kind, a)
+        m = kind == _MSG
+        (to,), best = _group_reduce([node[m]], {"d": a[m]}, ufunc=np.minimum)
+        at = np.searchsorted(nodes, to)
+        fell = best["d"] < dist[at]
+        dist = dist.copy()
+        dist[at[fell]] = best["d"][fell]
+        out = [_rows(nodes, _STATE, dist)]
+        if i < self.rounds:
+            sends = np.zeros(nodes.shape[0], bool)
+            sends[at[fell]] = True
+            src = np.searchsorted(nodes, node[e])
+            go = sends[src]
+            (dst,), cand = _group_reduce(
+                [a[e][go]], {"d": dist[src[go]] + b[e][go]}, ufunc=np.minimum
+            )
+            out.append(_rows(dst, _MSG, cand["d"]))
+        return pa.concat_tables(out)
+
+    def halt(self, i: int, n_rows: int) -> bool:
+        if i == 0:
+            self.n_nodes = n_rows - (self.n_edge_rows if self.rounds else 0)
+        return n_rows == self.n_nodes
+
+
 def sssp_partitioned(
     edges: ray.data.Dataset,
     seed_pred,
@@ -4677,175 +4527,30 @@ def sssp_partitioned(
     n_buckets: int = 64,
     directed: bool = False,
 ) -> ray.data.Dataset:
-    """Distributed twin of ``sssp_rounds`` — see there. Labels are
-    ``(node, dist, fresh)``; per round the fresh frontier co-shuffles
-    with the symmetrized weighted edges on ``hash(src)``, candidate
-    ``(dst, dist+w)`` rows min-merge with the label table on
-    ``hash(node)``, and a candidate survives only when it IMPROVES its
-    node's dist (ties keep the old label, so settled nodes never
-    re-enter the frontier)."""
-    from georay import ops as _ops
-
-    nb = np.uint64(n_buckets)
-
-    def _bucket(arr: np.ndarray) -> np.ndarray:
-        return (_ops._mix64(arr.view(np.uint64).copy()) % nb).astype(np.int64)
-
-    def to_sym(batch: pa.Table) -> pa.Table:
-        a = batch[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
-        w1 = np.asarray(weight_fn(a, b), dtype=np.int64)
-        if directed:
-            srcv, dstv, wv = a, b, w1
-        else:
-            srcv = np.concatenate([a, b])
-            dstv = np.concatenate([b, a])
-            wv = np.concatenate([w1, w1])
-        return pa.table(
-            {
-                "_b": pa.array(_bucket(srcv), pa.int64()),
-                "kind": pa.array(np.ones(srcv.shape[0], np.int8)),
-                "node": pa.array(srcv, pa.int64()),
-                "val": pa.array(dstv, pa.int64()),
-                "w": pa.array(wv, pa.int64()),
-            }
+    """Distributed twin of ``sssp_rounds`` — see there. It is the
+    ``_ShortestPaths`` superstep program: the (node, dist) table stays
+    hash-sharded, and each round is one node-keyed co-shuffle in which
+    only the nodes whose dist fell (the frontier) send along their
+    edges. A candidate survives only when it IMPROVES its node's dist
+    (ties keep the old label, so settled nodes never re-enter the
+    frontier). The driver reads one row count per round from block
+    metadata."""
+    sym = _edge_rows(edges, id_a, id_b, weight_fn, directed)
+    n_edge_rows = sym.count()
+    if n_edge_rows == 0:
+        return ray.data.from_arrow(
+            pa.table({"node": pa.array([], pa.int64()),
+                      "dist": pa.array([], pa.int64())})
         )
 
-    sym = edges.map_batches(
-        to_sym, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).materialize()
+    def reached(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.less(t["a"], _SSSP_INF))
+        return pa.table({"node": t["node"], "dist": t["a"]})
 
-    def seed0(batch: pa.Table) -> pa.Table:
-        # scan BOTH endpoints: in directed mode pure sinks appear only
-        # in the val column but must still be seedable/labelable
-        node = np.concatenate([
-            batch["node"].to_numpy(zero_copy_only=False),
-            batch["val"].to_numpy(zero_copy_only=False),
-        ])
-        sel = np.unique(node[np.asarray(seed_pred(node), bool)])
-        return pa.table(
-            {
-                "node": pa.array(sel, pa.int64()),
-                "dist": pa.array(np.zeros(sel.shape[0], np.int64)),
-                "fresh": pa.array(np.ones(sel.shape[0], np.int64)),
-            }
-        )
-
-    def _min_label_rows(g: pa.Table) -> pa.Table:
-        node = g["node"].to_numpy(zero_copy_only=False)
-        dist = g["dist"].to_numpy(zero_copy_only=False)
-        fresh = g["fresh"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((fresh, dist, node))
-        node, dist, fresh = node[order], dist[order], fresh[order]
-        first = np.ones(node.shape[0], bool)
-        first[1:] = node[1:] != node[:-1]
-        return pa.table(
-            {
-                "node": pa.array(node[first], pa.int64()),
-                "dist": pa.array(dist[first], pa.int64()),
-                "fresh": pa.array(fresh[first], pa.int64()),
-            }
-        )
-
-    def add_node_bucket(batch: pa.Table) -> pa.Table:
-        node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("_b", pa.array(_bucket(node), pa.int64()))
-
-    seeds = sym.map_batches(
-        seed0, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    ).map_batches(
-        add_node_bucket, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    )
-    labels = co_shuffle(seeds, "_b", _min_label_rows, coalesce=False).materialize()
-    from ray.data.aggregate import Sum
-
-    n_fresh = labels.aggregate(Sum("fresh", alias_name="f"))["f"] or 0
-
-    def tag_frontier(batch: pa.Table) -> pa.Table:
-        sub = batch.filter(pc.equal(batch["fresh"], 1))
-        node = sub["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "_b": pa.array(_bucket(node), pa.int64()),
-                "kind": pa.array(np.zeros(node.shape[0], np.int8)),
-                "node": pa.array(node, pa.int64()),
-                "val": sub["dist"],
-                "w": pa.array(np.zeros(node.shape[0], np.int64)),
-            }
-        )
-
-    def relax(group: pa.Table) -> pa.Table:
-        kind = group["kind"].to_numpy(zero_copy_only=False)
-        node = group["node"].to_numpy(zero_copy_only=False)
-        val = group["val"].to_numpy(zero_copy_only=False)
-        w = group["w"].to_numpy(zero_copy_only=False)
-        is_fr = kind == 0
-        fn, fd = node[is_fr], val[is_fr]
-        if fn.shape[0] == 0:
-            return pa.table(
-                {"node": pa.array([], pa.int64()),
-                 "cand": pa.array([], pa.int64())}
-            )
-        o = np.argsort(fn, kind="stable")
-        fn, fd = fn[o], fd[o]
-        es, ed, ew = node[~is_fr], val[~is_fr], w[~is_fr]
-        pos = np.searchsorted(fn, es)
-        hit = (pos < fn.shape[0]) & (fn[np.minimum(pos, fn.shape[0] - 1)] == es)
-        cd = fd[pos[hit]] + ew[hit]
-        ks, vs = _group_reduce(
-            [ed[hit]], {"cand": cd}, ufunc={"cand": np.minimum}
-        )
-        return pa.table(
-            {
-                "node": pa.array(ks[0], pa.int64()),
-                "cand": pa.array(vs["cand"], pa.int64()),
-            }
-        )
-
-    for _ in range(rounds):
-        if not n_fresh:
-            break
-        frontier = labels.map_batches(
-            tag_frontier, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-        cand = co_shuffle([frontier, sym], "_b", relax, coalesce=False)
-
-        def tag_cand(batch: pa.Table) -> pa.Table:
-            node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "_b": pa.array(_bucket(node), pa.int64()),
-                    "node": pa.array(node, pa.int64()),
-                    "dist": batch["cand"],
-                    "fresh": pa.array(np.ones(node.shape[0], np.int64)),
-                }
-            )
-
-        def tag_lab(batch: pa.Table) -> pa.Table:
-            node = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "_b": pa.array(_bucket(node), pa.int64()),
-                    "node": pa.array(node, pa.int64()),
-                    "dist": batch["dist"],
-                    "fresh": pa.array(np.zeros(node.shape[0], np.int64)),
-                }
-            )
-
-        sides = [
-            d.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=None)
-            for d, tag in ((cand, tag_cand), (labels, tag_lab))
-        ]
-        labels = co_shuffle(sides, "_b", _min_label_rows, coalesce=False).materialize()
-        n_fresh = labels.aggregate(Sum("fresh", alias_name="f"))["f"] or 0
-
-    return labels.map_batches(
-        lambda b: b.select(["node", "dist"]),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+    program = _ShortestPaths(seed_pred, rounds, n_edge_rows)
+    out = _supersteps(program, sym, n_buckets=n_buckets)
+    return out.map_batches(
+        reached, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
 
 

@@ -10602,8 +10602,9 @@ def q_label_prop_distributed(sf_dir: str):
 def q_label_prop_partitioned(sf_dir: str):
     """Billion-node twin of ``label_prop``
     (analytics.label_propagation_partitioned): labels stay a Dataset —
-    per round one partitioned equality join + shuffle aggregate +
-    map-side-pruned group_top_k modal pick. Shares the unrolled-CTE
+    per round one node-keyed co-shuffle in which each bucket applies
+    the modal pick to the (dst, label, count) messages it received and
+    sends its new labels along its edges. Shares the unrolled-CTE
     oracle."""
     from georay import analytics
 
@@ -10773,8 +10774,8 @@ def q_pagerank(sf_dir: str):
 
 def q_pagerank_partitioned(sf_dir: str):
     """Partitioned-state twin of ``pagerank``: the (node, degree, rank)
-    table never lands on the driver — two fused hash-bucket co-shuffles
-    per power iteration (analytics.pagerank_partitioned). Identical
+    table never lands on the driver — one node-keyed co-shuffle per
+    power iteration (analytics.pagerank_partitioned). Identical
     fixed-point integers, so it shares the chained-CTE oracle. The
     billion-node scale path."""
     from georay import analytics
@@ -10882,20 +10883,22 @@ def q_ktruss(sf_dir: str):
 
 
 def _ktruss_sql() -> str:
+    # MATERIALIZED for the reason given at ``_kcore_sql``: each round
+    # reads the previous edge set four times.
     parts = [
         f"WITH {SQL_COPURCHASE_EDGES.strip()}",
-        ",\ne0 AS (SELECT a, b FROM e)",
+        ",\ne0 AS MATERIALIZED (SELECT a, b FROM e)",
     ]
     for r in range(1, _KTRUSS_ROUNDS + 1):
         p = f"e{r - 1}"
         parts.append(f""",
-sym{r} AS (SELECT a AS s, b AS d FROM {p} UNION ALL SELECT b, a FROM {p}),
+sym{r} AS MATERIALIZED (SELECT a AS s, b AS d FROM {p} UNION ALL SELECT b, a FROM {p}),
 sup{r} AS (
   SELECT e.a, e.b, COUNT(*) AS c FROM {p} e
   JOIN sym{r} s1 ON s1.s = e.a JOIN sym{r} s2 ON s2.s = e.b AND s2.d = s1.d
   GROUP BY e.a, e.b
 ),
-e{r} AS (
+e{r} AS MATERIALIZED (
   SELECT e.a, e.b FROM {p} e
   LEFT JOIN sup{r} c ON c.a = e.a AND c.b = e.b
   WHERE COALESCE(c.c, 0) >= {_KTRUSS_K - 2}
@@ -11168,9 +11171,9 @@ SQL_GRAPH_REPORT = _graph_report_sql()
 
 def q_components_partitioned(sf_dir: str):
     """Partitioned-label twin of ``components``: same co-purchase graph,
-    but the (node → label) table stays DISTRIBUTED — co-shuffled with the
-    edge list into hash buckets each round, per-bucket min-reduce, driver
-    sees only the two convergence scalars
+    but the (node → label) table stays DISTRIBUTED — large-star/small-star
+    contraction, one node-keyed co-shuffle per superstep and O(log² n)
+    rounds, driver sees one row count per superstep
     (stages.components.connected_components_partitioned). The scale path
     for graphs whose node table exceeds the broadcast cutoff; must be
     bit-equal to the broadcast plan, so it shares the recursive-CTE
@@ -12299,8 +12302,9 @@ def q_bfs_hops(sf_dir: str):
 
 def q_bfs_partitioned(sf_dir: str):
     """Distributed twin of ``bfs_hops``: the (node, hops) label table
-    stays sharded across hash buckets — two co-shuffles per hop, driver
-    sees one scalar per round (analytics.bfs_hops_partitioned). Must be
+    stays sharded across hash buckets — one node-keyed co-shuffle per
+    hop, driver sees one row count per hop (analytics.bfs_hops_partitioned,
+    the unit-weight sssp program). Must be
     bit-equal to the broadcast plan, so it shares the recursive-CTE
     oracle."""
     from georay import analytics
@@ -13177,17 +13181,19 @@ def q_kcore_partitioned(sf_dir: str):
 
 
 def _kcore_sql() -> str:
+    # Each round is MATERIALIZED: DuckDB 1.0 inlines a plain CTE at every
+    # reference, and round i+1 reads round i three times, so the inlined
+    # chain grew 3^rounds deep (at sf0.1 it spilled ~19 GB to temp disk).
     parts = [f"WITH {SQL_COPURCHASE_EDGES.strip()},",
-             "\ne0 AS (SELECT a, b FROM e)"]
+             "\ne0 AS MATERIALIZED (SELECT a, b FROM e)"]
     for i in range(_KCORE_ROUNDS):
         parts.append(f""",
-d{i} AS (SELECT node, COUNT(*) AS deg
-         FROM (SELECT a AS node FROM e{i} UNION ALL SELECT b FROM e{i})
-         GROUP BY node),
-n{i} AS (SELECT node FROM d{i} WHERE deg >= {_KCORE_K}),
-e{i + 1} AS (SELECT a, b FROM e{i}
-             WHERE a IN (SELECT node FROM n{i})
-               AND b IN (SELECT node FROM n{i}))""")
+n{i} AS MATERIALIZED (
+  SELECT node FROM (SELECT a AS node FROM e{i} UNION ALL SELECT b FROM e{i})
+  GROUP BY node HAVING COUNT(*) >= {_KCORE_K}),
+e{i + 1} AS MATERIALIZED (
+  SELECT a, b FROM e{i}
+  WHERE a IN (SELECT node FROM n{i}) AND b IN (SELECT node FROM n{i}))""")
     r = _KCORE_ROUNDS
     parts.append(f"""
 SELECT node, CAST(COUNT(*) AS BIGINT) AS degree
@@ -14316,8 +14322,8 @@ def q_sssp(sf_dir: str):
 
 def q_sssp_partitioned(sf_dir: str):
     """Distributed twin of ``sssp``: (node, dist) labels stay
-    hash-sharded; only improved nodes ship through the per-round edge
-    co-shuffle; driver sees one scalar per round
+    hash-sharded; only improved nodes send along their edges, one
+    node-keyed co-shuffle per round; driver sees one row count per round
     (analytics.sssp_partitioned). Shares the chained-CTE oracle."""
     from georay import analytics
 

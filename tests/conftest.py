@@ -1,6 +1,7 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -24,3 +25,45 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def ray_executions(monkeypatch):
+    """A list that gains one entry per Ray Data execution started while
+    the test runs (``StreamingExecutor.execute`` calls); ``clear()`` it
+    after any setup that executes."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    orig = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return calls
+
+
+@pytest.fixture(scope="session")
+def long_graphs():
+    """Long-diameter undirected graphs as ``name -> (a, b)`` int64 edge
+    arrays: a 64-node path with ascending ids, the same path with
+    seeded-random ids, a 2x32 ladder, a 64-leaf star and two disjoint
+    paths."""
+    ids = np.arange(64, dtype=np.int64)
+    rand = np.random.default_rng(7).permutation(10_000)[:64].astype(np.int64)
+    rail = ids[:32]
+    return {
+        "path": (ids[:-1], ids[1:]),
+        "random_path": (rand[:-1], rand[1:]),
+        "ladder": (
+            np.concatenate([rail[:-1], rail[:-1] + 32, rail]),
+            np.concatenate([rail[1:], rail[1:] + 32, rail + 32]),
+        ),
+        "star": (np.full(64, 32, np.int64), np.delete(np.arange(65), 32)),
+        "two_paths": (
+            np.concatenate([ids[:31], ids[:31] + 100]),
+            np.concatenate([ids[1:32], ids[1:32] + 100]),
+        ),
+    }

@@ -984,7 +984,10 @@ def test_grouped_hull_stats_square_and_degenerate(ray_session):
     assert out["perim_q"].tolist() == [80_000_000, 0, 0]
 
 
-def test_pagerank_partitioned_matches_broadcast(ray_session):
+def test_pagerank_partitioned_matches_broadcast(ray_session, long_graphs):
+    """pagerank and label propagation: the partitioned superstep
+    programs equal the broadcast and local twins on a random graph and
+    on the long-diameter graphs."""
     rng = np.random.default_rng(5)
     a = rng.integers(0, 300, size=800).astype(np.int64)
     b = rng.integers(0, 300, size=800).astype(np.int64)
@@ -1007,6 +1010,21 @@ def test_pagerank_partitioned_matches_broadcast(ray_session):
         .to_pandas().sort_values("node").reset_index(drop=True)
     )
     assert got.equals(want)
+
+    def rows(ds):
+        return ds.to_pandas().sort_values("node").reset_index(drop=True)
+
+    graphs = {"random": edges}
+    for name, (a, b) in long_graphs.items():
+        graphs[name] = _ds(pa.table({"a": pa.array(a), "b": pa.array(b)})).materialize()
+    for name, g in graphs.items():
+        if name != "random":
+            want = rows(analytics.pagerank(g, n_iter=3, local_edge_cutoff=0))
+            got = rows(analytics.pagerank_partitioned(g, n_iter=3, n_buckets=8))
+            assert got.equals(want), name
+        want = rows(analytics.label_propagation(g, rounds=3))
+        got = rows(analytics.label_propagation_partitioned(g, rounds=3, n_buckets=8))
+        assert got.equals(want), name
 
 
 def test_triangle_count_partitioned_matches_broadcast(ray_session):
@@ -1273,7 +1291,7 @@ def _bfs_naive(edges, seeds, max_hops):
     return hop
 
 
-def test_bfs_hops_matches_naive_and_partitioned(ray_session):
+def test_bfs_hops_matches_naive_and_partitioned(ray_session, long_graphs):
     # two components + a cycle; seeds = nodes divisible by 10
     edges = [(1, 2), (2, 3), (3, 4), (4, 1), (3, 10), (20, 21), (21, 22),
              (30, 31), (5, 6)]
@@ -1295,6 +1313,62 @@ def test_bfs_hops_matches_naive_and_partitioned(ray_session):
         .to_pandas().sort_values("node")
     )
     assert dict(zip(got_p["node"], got_p["hops"])) == want
+    # long diameters: enough hops to reach every node, so the
+    # partitioned twin stops when its frontier empties
+    for name, (a, b) in long_graphs.items():
+        tbl = pa.table({"a": pa.array(a), "b": pa.array(b)})
+        seeds = [int(n) for n in np.unique(np.concatenate([a, b])) if n % 10 == 0]
+        want = _bfs_naive(list(zip(a.tolist(), b.tolist())), seeds, 64)
+        for got in (
+            analytics.bfs_hops(_ds(tbl), pred, max_hops=64).to_pandas(),
+            analytics.bfs_hops_partitioned(
+                _ds(tbl), pred, max_hops=64, n_buckets=4
+            ).to_pandas(),
+        ):
+            assert dict(zip(got["node"], got["hops"])) == want, name
+
+
+def test_graph_twins_one_execution_per_superstep(
+    ray_session, ray_executions, monkeypatch
+):
+    """bfs, sssp, pagerank and label propagation run at most
+    ``rounds + 1`` supersteps and one Ray Data execution per superstep
+    (one node-keyed co-shuffle, materialized once; the halt test reads
+    block metadata) plus two: the edge rows and the caller's read of
+    the result."""
+    supersteps = []
+    co_shuffle = analytics.co_shuffle
+
+    def counting(*args, **kwargs):
+        supersteps.append(1)
+        return co_shuffle(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "co_shuffle", counting)
+    rng = np.random.default_rng(7)
+    tbl = pa.table({"a": pa.array(rng.integers(0, 300, 600)),
+                    "b": pa.array(rng.integers(300, 600, 600))})
+    edges = _ds(tbl).materialize()
+
+    def tens(n):
+        return n % 10 == 0
+
+    runs = {
+        "bfs": (3, lambda: analytics.bfs_hops_partitioned(
+            edges, tens, max_hops=3, n_buckets=8)),
+        "sssp": (4, lambda: analytics.sssp_partitioned(
+            edges, tens, lambda a, b: (a + b) % 5 + 1, rounds=4,
+            n_buckets=8)),
+        "pagerank": (3, lambda: analytics.pagerank_partitioned(
+            edges, n_iter=3, n_buckets=8)),
+        "label_prop": (3, lambda: analytics.label_propagation_partitioned(
+            edges, rounds=3, n_buckets=8)),
+    }
+    for name, (rounds, run) in runs.items():
+        ray_executions.clear()
+        supersteps.clear()
+        assert len(run().take_all()) > 0, name
+        assert 0 < len(supersteps) <= rounds + 1, name
+        assert len(ray_executions) <= len(supersteps) + 2, name
 
 
 def test_bfs_hops_no_seeds(ray_session):
@@ -1705,7 +1779,7 @@ def test_hits_bipartite_known(ray_session):
     assert got == exp
 
 
-def test_sssp_local_vs_partitioned_parity(ray_session):
+def test_sssp_local_vs_partitioned_parity(ray_session, long_graphs):
     # path 0-1-2-3-4 with weights 5,1,1,1 plus shortcut 0-4 weight 9;
     # seed node 0. 3 rounds: dist(4)=min(9, 8 via path needs 4 edges).
     edges = pa.table(
@@ -1738,6 +1812,24 @@ def test_sssp_local_vs_partitioned_parity(ray_session):
     # one more round reaches 4 via the cheap path
     loc4 = analytics.sssp_rounds(_ds(edges), seed, wf, rounds=4).to_pandas()
     assert dict(zip(loc4["node"], loc4["dist"]))[4] == 8
+
+    def tens(n):
+        return n % 10 == 0
+
+    def sum_w(a, b):
+        return (a + b) % 7 + 1
+
+    for name, (a, b) in long_graphs.items():
+        g = _ds(pa.table({"a": pa.array(a), "b": pa.array(b)}))
+        loc = (
+            analytics.sssp_rounds(g, tens, sum_w, rounds=64)
+            .to_pandas().sort_values("node").reset_index(drop=True)
+        )
+        part = (
+            analytics.sssp_partitioned(g, tens, sum_w, rounds=64, n_buckets=4)
+            .to_pandas().sort_values("node").reset_index(drop=True)
+        )
+        assert len(loc) and loc.values.tolist() == part.values.tolist(), name
 
 
 def test_sssp_empty_edges(ray_session):

@@ -1719,20 +1719,13 @@ def test_quantile_q_outside_unit_interval_raises(ray_session, name, bad):
 @pytest.mark.parametrize("n_groups", [2, 50])
 @pytest.mark.parametrize("n_qs", [1, 5])
 def test_radix_quantiles_are_four_ray_data_executions(
-    ray_session, monkeypatch, n_qs, n_groups
+    ray_session, ray_executions, n_qs, n_groups
 ):
     """Every radix entry point is exactly 4 Ray Data executions (one
     per 16-bit digit) however many quantiles and groups ride them."""
     import ray.data as rd
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    calls = []
-    orig = StreamingExecutor.execute
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return orig(self, *args, **kwargs)
-
+    calls = ray_executions
     rng = np.random.RandomState(n_qs * n_groups)
     n = 2000
     t = pa.table({
@@ -1749,7 +1742,6 @@ def test_radix_quantiles_are_four_ray_data_executions(
         "cont": lambda: ops.exact_quantiles_radix_cont(ds, "x", qs),
         "grouped": lambda: ops.grouped_quantiles_radix(ds, "g", "x", qs),
     }
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
     for name, run in runs.items():
         calls.clear()
         out = run()
@@ -2215,27 +2207,22 @@ def test_pip_join_broadcasts_do_not_go_stale(ray_session):
         assert sorted(got["pt_id"]) == np.nonzero(want)[0].tolist()
 
 
-def test_degree_assortativity_is_three_ray_data_executions(ray_session, monkeypatch):
+def test_degree_assortativity_is_three_ray_data_executions(
+    ray_session, ray_executions
+):
     """``exchange.collect`` runs its plan once: ``to_arrow_refs`` ran it
     a second time for the schema (4 executions at 3,000 edges)."""
     import ray.data as rd
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from georay import analytics
 
-    calls = []
-    orig = StreamingExecutor.execute
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return orig(self, *args, **kwargs)
-
+    calls = ray_executions
     rng = np.random.default_rng(3)
     edges = pa.table({
         "a": pa.array(rng.integers(0, 500, 3000), pa.int64()),
         "b": pa.array(rng.integers(0, 500, 3000), pa.int64()),
     })
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    calls.clear()
     out = analytics.degree_assortativity(rd.from_arrow(edges)).take_all()
     assert len(calls) == 3
     assert out[0]["n_pairs"] == 6000
@@ -2313,6 +2300,30 @@ def test_co_shuffle_only_in_exchange():
                     callee == "map_groups" and isinstance(f, ast.Attribute)
                 ):
                     bad.append(f"{rel}:{node.lineno} {callee}")
+    assert not bad, bad
+
+
+def test_graph_buckets_only_through_co_shuffle():
+    """The graph modules bucket rows only through ``co_shuffle(...,
+    n_buckets=...)``: no ``_mix64`` call in ``analytics.py`` or
+    ``stages/components.py``, except in ``negative_edge_samples``, where
+    it picks a seeded node index, not a bucket."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "georay"
+    bad = []
+    for rel in ("analytics.py", "stages/components.py"):
+        tree = ast.parse((root / rel).read_text(), rel)
+        for top in tree.body:
+            if getattr(top, "name", None) == "negative_edge_samples":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name == "_mix64":
+                        bad.append(f"{rel}:{node.lineno}")
     assert not bad, bad
 
 

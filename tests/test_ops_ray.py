@@ -3411,7 +3411,7 @@ def test_dag_layers_local_vs_partitioned_vs_brute(ray_session):
     """dag_layers: both sssp plans (local CSR, directed partitioned
     label-correcting) must equal the brute longest-path DP on a random
     a<b DAG, including pure-sink nodes that appear only as edge
-    heads."""
+    heads, and on a 40-node chain whose critical path is 39 edges."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
@@ -3421,8 +3421,8 @@ def test_dag_layers_local_vs_partitioned_vs_brute(ray_session):
     rng = np.random.default_rng(11)
     n_nodes, n_edges = 48, 150
     a = rng.integers(0, n_nodes - 1, n_edges).astype(np.int64)
-    # min step 12 keeps the critical path ≤ 3 so the partitioned plan
-    # (a ~16 s materialized co-shuffle per round) converges in 4 rounds
+    # min step 12 keeps the critical path ≤ 3, so the partitioned plan
+    # converges in 4 rounds
     b = (a + 12 + rng.integers(0, 5, n_edges).astype(np.int64)).clip(max=n_nodes - 1)
     keep = a < b
     a, b = a[keep], b[keep]
@@ -3448,6 +3448,13 @@ def test_dag_layers_local_vs_partitioned_vs_brute(ray_session):
     ).to_pandas()
     got_part = dict(zip(part["node"], part["layer"]))
     assert got_part == layer
+
+    # a directed 40-node chain: layer = position, one round per edge
+    chain = np.arange(40, dtype=np.int64)
+    edges = rd.from_arrow(pa.table({"a": pa.array(chain[:-1]), "b": pa.array(chain[1:])}))
+    for cutoff in (2_000_000, 0):
+        out = analytics.dag_layers(edges, rounds=40, local_edge_cutoff=cutoff).to_pandas()
+        assert dict(zip(out["node"], out["layer"])) == {i: i for i in range(40)}
 
 
 def test_radius_pairs_radius2_exact_boundary_and_counts(ray_session):

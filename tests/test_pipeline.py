@@ -182,20 +182,12 @@ def test_shard_sink_merges_shards_split_across_write_tasks(images_dir, ray_sessi
 
 @pytest.mark.parametrize("bucketed", [False, True])
 def test_flagship_is_one_ray_data_execution(
-    images_dir, polygons, tmp_path, ray_session, monkeypatch, bucketed
+    images_dir, polygons, tmp_path, ray_session, ray_executions, bucketed
 ):
     """A fresh run is ONE Ray Data execution (write, validation and
     histogram partials together); a finished run starts none."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    calls = []
-    orig = StreamingExecutor.execute
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return orig(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    calls = ray_executions
+    calls.clear()
     out = str(tmp_path / "once")
     kw = dict(zoom=5, bucketed_cells=bucketed)
     pipeline.run_flagship(images_dir, out, polygons, **kw)

@@ -235,20 +235,12 @@ def test_verified_band_pairs_matches_reference(threshold):
     assert sorted(zip(got["id_a"].to_pylist(), got["id_b"].to_pylist())) == sorted(want)
 
 
-def test_minhash_dedup_is_two_ray_data_executions(ray_session, monkeypatch):
+def test_minhash_dedup_is_two_ray_data_executions(ray_session, ray_executions):
     """Band exchange with in-reducer verify feeding connected components
     is one execution; the label assign is the second."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    calls = []
-    orig = StreamingExecutor.execute
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return orig(self, *args, **kwargs)
-
+    calls = ray_executions
     ds = _docs_with_dups(ray_session)
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    calls.clear()
     out = dedup.minhash_dedup(ds, threshold=0.6).materialize()
     assert len(calls) == 2
     assert out.count() == ds.count()
@@ -1031,10 +1023,11 @@ def test_verify_pairs_duplicated_doc_ids_no_same_side_match(ray_session):
     assert out == []
 
 
-def test_connected_components_partitioned_matches_broadcast(ray_session):
+def test_connected_components_partitioned_matches_broadcast(ray_session, long_graphs):
     """The partitioned-label twin (labels never on the driver) must be
     bit-equal to the broadcast plan — random graph plus a long path
-    (multiple propagation rounds) plus singleton-free isolated edges."""
+    (multiple propagation rounds) plus singleton-free isolated edges —
+    and to the local plan on the long-diameter graphs."""
     import ray.data as rd
 
     from georay.stages.components import (
@@ -1063,6 +1056,34 @@ def test_connected_components_partitioned_matches_broadcast(ray_session):
     assert got.equals(wantp)
     # path collapsed to one component labeled by its min node
     assert (got[got["node"].isin(path)]["label"] == 1000).all()
+
+    for name, (a, b) in long_graphs.items():
+        pairs = rd.from_arrow(pa.table({"id_a": pa.array(a), "id_b": pa.array(b)}))
+        want = connected_components(pairs).to_pandas().sort_values("node")
+        got = (
+            connected_components_partitioned(pairs, n_buckets=8)
+            .to_pandas().sort_values("node")
+        )
+        assert got.reset_index(drop=True).equals(want.reset_index(drop=True)), name
+        assert got["label"].nunique() == (2 if name == "two_paths" else 1), name
+
+
+def test_connected_components_partitioned_resolves_a_long_path(
+    ray_session, ray_executions
+):
+    """A 200-node path with seeded-random ids resolves to one label in
+    O(log n) supersteps: at most 40 Ray Data executions at the default
+    ``max_rounds`` (min-label propagation took 2 per unit of diameter,
+    about 400)."""
+    import ray.data as rd
+
+    from georay.stages.components import connected_components_partitioned
+
+    ids = np.random.default_rng(7).permutation(100_000)[:200].astype(np.int64)
+    pairs = rd.from_arrow(pa.table({"id_a": pa.array(ids[:-1]), "id_b": pa.array(ids[1:])}))
+    got = connected_components_partitioned(pairs, n_buckets=4).to_pandas()
+    assert len(got) == 200 and set(got["label"]) == {int(ids.min())}
+    assert len(ray_executions) <= 40
 
 
 def test_connected_components_partitioned_raises_when_unconverged(ray_session):
