@@ -21,9 +21,16 @@ the driver collect.
   call gets a whole bucket of keys and resolves them with a vectorized
   sort; without it the given column is the group key as it is (callers
   that salt, shift or replicate build that column themselves).
-  ``coalesce`` repartitions the input to ~2 blocks per CPU first: wide
-  inputs want it, iterative rounds over small state do not (it cost the
-  kNN rounds 2 s → 7–12 s).
+  ``coalesce`` merges the input down to ``task_count`` blocks first:
+  every block costs the shuffle map one slice per output partition, so
+  a many-block input wants it. It adds no stage to an input that Ray's
+  plan already puts at or below that count (the old floor of 16 blocks
+  split small kNN ring state and cost those rounds 2 s → 7–12 s).
+- ``task_count(n_parts, n_bytes)`` is the one rule that sizes a stage:
+  one task per cluster CPU, never more than there are parts, and more
+  only when a task would hold more than Ray's ``target_max_block_size``.
+  The resumable shard write and ``shuffle_coalesce`` take their task
+  counts from it, not from the input's files and blocks.
 - ``broadcast(value)`` puts a small-side value in the object store once,
   on the driver. A map fn closes over the handle and calls ``.get()``;
   the first call in a worker process fetches, later calls in that
@@ -45,8 +52,11 @@ import threading
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
+from ray._private.auto_init_hook import auto_init_ray
+from ray.data._internal.logical.operators.read_operator import Read
 from ray.data.block import BlockAccessor
 
 # rows per combine task when coalescing partial blocks ahead of the final
@@ -247,22 +257,63 @@ def bucket_ids(batch: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
     return (h % np.uint64(n_buckets)).astype(np.int64)
 
 
+def task_count(n_parts: int, n_bytes: int | None = None) -> int:
+    """Tasks for a stage over ``n_parts`` parts that weigh ``n_bytes``:
+    one per cluster CPU, more only when a task would hold more than
+    ``DataContext.target_max_block_size`` bytes, and never more than
+    ``n_parts`` (at least 1).
+
+    A task costs tens of milliseconds of scheduling, worker and driver
+    time whatever it holds, so a task count taken from the input's files
+    or blocks buys nothing past one task per CPU: on one CPU a 4-shard
+    flagship run went 0.245 → 0.174 s in 1 task, and a 4-block MinHash
+    band exchange was 25% faster coalesced to 1 block than to 2."""
+    auto_init_ray()
+    n = max(int(ray.cluster_resources().get("CPU", 1)), 1)
+    block = ray.data.DataContext.get_current().target_max_block_size
+    if n_bytes and block:
+        n = max(n, -(-int(n_bytes) // block))
+    return max(min(n, n_parts), 1)
+
+
+def projected_bytes(md: pq.FileMetaData, columns: list[str] | None) -> int:
+    """Uncompressed bytes of ``columns`` (all when None) in a parquet
+    footer: the ``n_bytes`` of ``task_count`` for a read."""
+    return sum(
+        c.total_uncompressed_size
+        for rg in map(md.row_group, range(md.num_row_groups))
+        for c in map(rg.column, range(rg.num_columns))
+        if columns is None or c.path_in_schema.split(".")[0] in columns
+    )
+
+
 def shuffle_coalesce(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Coalesce a Dataset to ~2 blocks per CPU before a groupby shuffle.
+    """Merge a Dataset down to ``task_count`` blocks before a groupby
+    shuffle; unchanged when Ray's plan-time block estimate is already at
+    or below that, so a sized input is never split into more blocks.
 
     Ray's sort-shuffle map stage splits EVERY input block into one slice
     per output partition, so its constant cost is blocks × partitions
     object-store operations — a many-small-block input (hundreds of
     parquet fragments) makes the shuffle barrier dominate. Measured on
     the 14.4M-row co-partitioned join at 32 cpus: 19.7 s with ~800 read
-    blocks, 3.3 s after coalescing to 64 (6×). The narrow split/merge
-    repartition this inserts costs a fraction of that. Harmless when the
-    input already has few blocks (splitting small data is cheap)."""
-    try:
-        target_blocks = max(int(ray.cluster_resources().get("CPU", 8)) * 2, 16)
-    except Exception:
-        target_blocks = 16
-    return ds.repartition(target_blocks)
+    blocks, 3.3 s after coalescing to 64 (6×). Splitting a few-block
+    input is not free either: the old floor of 16 blocks cost the kNN
+    ring rounds 2 s → 7–12 s. The estimate counts one block per read
+    task, but Ray splits a read it sizes itself at run time (two
+    one-file sf0.1 reads reached a join's shuffle unmerged and ran
+    3.5 → 5.7 s at 32 CPUs), so such a read, like an input of unknown
+    size, makes the estimate unknown: those inputs merge to
+    ``task_count`` blocks as if they had more."""
+    plan = ds._logical_plan.dag
+    n_blocks = plan.estimated_num_outputs()
+    n_bytes = plan.infer_metadata().size_bytes
+    if n_blocks is None or any(
+        isinstance(op, Read) and op._parallelism == -1 for op in plan.post_order_iter()
+    ):
+        return ds.repartition(task_count(1 << 62, n_bytes))
+    target = task_count(n_blocks, n_bytes)
+    return ds if n_blocks <= target else ds.repartition(target)
 
 
 def co_shuffle(
@@ -282,7 +333,7 @@ def co_shuffle(
     ``fn``, and a key type without a hash raises ``TypeError``. Without
     it rows are grouped by the column(s) ``keys`` as they are, and those
     reach ``fn`` unchanged. ``coalesce`` inserts ``shuffle_coalesce``
-    before the groupby."""
+    before the groupby: at most ``task_count`` blocks reach the shuffle."""
     sides = [sides] if isinstance(sides, ray.data.Dataset) else list(sides)
     if n_buckets is None:
         group_key, call = keys, fn

@@ -6,11 +6,12 @@ Scale notes (the 100 TB story):
 - the image ``bytes`` column never crosses a shuffle: the enriched
   assignment table (ids + cells + tiles + join results) is written per
   input shard with no all-to-all, in ONE Ray Data execution per run of
-  ONE fused operator — one task per input shard reads, transforms and
-  writes it as one row group per file, re-reads what it wrote and
-  returns the shard's row count, checksum partial and histogram counts,
-  which the driver merges (no wide op, no second plan, no block in the
-  object store between read and write);
+  ONE fused operator — each task (one per cluster CPU, ``exchange.task_count``)
+  reads whole shards, transforms them and writes each as one row group
+  per file, re-reads what it wrote and returns each shard's row count,
+  checksum partial and histogram counts, which the driver merges (no
+  wide op, no second plan, no block in the object store between read
+  and write);
 - resume is manifest-driven: each input shard is a partition whose
   output is validated by row count + an order-insensitive checksum;
   finished shards are skipped on rerun (content-addressed partition ids,
@@ -99,7 +100,7 @@ class _ShardSink(ParquetDatasink):
     """Parquet sink of a resumable shard write that validates in the
     write tasks. Directories and file names are those of
     ``Dataset.write_parquet(path, partition_cols=...)``; each file holds
-    a task's rows as one row group (up to 1M rows).
+    one shard's rows of a task as one row group (up to 1M rows).
 
     After writing its files, each write task re-reads ``id_col`` and the
     ``count_cols`` from the files it just wrote, so the checks see what
@@ -188,11 +189,14 @@ def _write_shards(
     from the manifest are read, transformed and written through
     ``_ShardSink`` to ``out_dir/<data_dir>/shard=<name>/``; each is
     checked against its input footer's row count and recorded in the
-    manifest. The read yields one block per pending shard, so a
-    ``transform`` of row-wise maps fuses with read and write into one
-    operator: one task per shard, one row group per shard file. So a
-    run has no more tasks than pending shards, and each write task
-    holds its whole shard's transformed output. With ``count_cols``, each finished shard's counts go to its sidecar
+    manifest. The read runs ``exchange.task_count`` tasks, sized from
+    the pending shards and their projected column bytes in the parquet
+    footers: one per cluster CPU, more only for shards too heavy for
+    one block each, and never a split shard. So a ``transform`` of
+    row-wise maps fuses with read and write into one operator, a task
+    writes whole shards, one file of one row group per shard, and a run
+    has no more tasks than pending shards. With ``count_cols``, each
+    finished shard's counts go to its sidecar
     ``out_dir/_hist/<shard>.parquet`` before its manifest entry is
     committed, and a manifest shard without a sidecar is redone.
     Returns (manifest, pending input files, rows written)."""
@@ -215,13 +219,16 @@ def _write_shards(
     if not pending:
         return manifest, pending, 0
 
-    # ONE Dataset over all pending shards, one block per shard: a read Ray
-    # splits never fuses with the maps after it, so this keeps read,
-    # transform and write one task per shard; provenance via
+    # ONE Dataset over all pending shards in whole shards per task: a
+    # read Ray splits never fuses with the maps after it, so this keeps
+    # read, transform and write one fused task; provenance via
     # include_paths drives the partitioned output, so every input shard
     # owns exactly one output directory
+    footers = {f: pq.read_metadata(f) for f in pending}
+    n_bytes = sum(exchange.projected_bytes(md, columns) for md in footers.values())
     ds = rd.read_parquet(
-        pending, columns=columns, include_paths=True, override_num_blocks=len(pending)
+        pending, columns=columns, include_paths=True,
+        override_num_blocks=exchange.task_count(len(pending), n_bytes),
     )
 
     def shard_col(batch: pa.Table) -> pa.Table:
@@ -243,7 +250,7 @@ def _write_shards(
     for path in pending:
         shard = _shard_of_path(path)
         shard_dir = os.path.join(data_root, f"shard={shard}")
-        n_in = pq.read_metadata(path).num_rows
+        n_in = footers[path].num_rows
         n_out, ck, counts = sink.stats.get(shard, (0, 0, []))
         if n_out != n_in:
             raise RuntimeError(f"shard {shard}: wrote {n_out} rows, expected {n_in}")

@@ -13,8 +13,9 @@ and reach the component minimum after ``diameter`` rounds; the candidate
 generators in ``georay.stages.dedup`` bound component diameter by
 construction (adjacent-W pairing links bucket members ≤ W apart, so an
 m-member degenerate bucket has diameter ≈ m/W), and driver-side pointer
-jumping shortens the rest. ``max_rounds`` is a safety bound and the loop
-stops as soon as a round changes nothing.
+jumping shortens the rest. The loop stops as soon as a round changes
+nothing; labels still changing after ``max_rounds`` rounds raise a
+``RuntimeError`` rather than return unconverged.
 
 ``connected_components_partitioned`` is the scale path for a label
 table too big to broadcast: large-star/small-star contraction on the
@@ -94,6 +95,8 @@ def connected_components(
             if np.array_equal(new, labels):
                 break
             labels = new
+        else:
+            _unconverged(max_rounds)
         return pa.table(
             {"node": pa.array(nodes, pa.int64()), "label": pa.array(labels, pa.int64())}
         )
@@ -151,10 +154,19 @@ def connected_components(
         if nodes is not None and np.array_equal(new_labels, labels):
             break
         nodes, labels = new_nodes, new_labels
+    else:
+        _unconverged(max_rounds)
 
     return pa.table(
         {"node": pa.array(nodes, pa.int64()), "label": pa.array(labels, pa.int64())}
     )
+
+
+def _unconverged(max_rounds: int):
+    raise RuntimeError(
+        f"connected_components: labels still changing after max_rounds={max_rounds}"
+    )
+
 
 def _distinct_pairs(u: np.ndarray, v: np.ndarray):
     """Distinct ``(u, v)`` with ``u != v``, sorted by ``(u, v)``."""

@@ -637,7 +637,8 @@ def minhash_dedup(
        sign it (OPH) and explode every doc into N_BANDS
        (band, band_hash, id, sig_low, text) rows — band keys, the low
        byte of each signature min (64 B) and the doc's own text;
-    2. ``groupby("band")`` reducer: bucket the band's rows, pair bucket
+    2. ``groupby("band")`` reducer, over the band rows merged to one
+       block per CPU (``coalesce=True``): bucket the band's rows, pair bucket
        members (adjacent-W), drop pairs below the estimate floor on the
        low bytes, re-shingle and sign only the docs of surviving pairs,
        apply the same floor on full signatures and verify exact Jaccard
@@ -679,7 +680,7 @@ def minhash_dedup(
         .map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True, batch_size=None),
         "band",
         lambda g: _verified_band_pairs(g, text_col, id_col, shingle_k, threshold),
-        coalesce=False,
+        coalesce=True,
     )
     labels = connected_components(pairs)
     nodes = labels["node"].to_numpy(zero_copy_only=False)

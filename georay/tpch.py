@@ -71,11 +71,17 @@ SUPP_SY = "((s_suppkey * 59) % 1700) / 10.0 - 85.0 + 0.05"
 
 def lineitem_points(sf_dir: str, extra_cols: list[str] | None = None) -> rd.Dataset:
     """lineitem with a geoarrow.point ``geotag`` column (pruned read)."""
+    import pyarrow.parquet as pq
+
     cols = ["l_orderkey", "l_partkey", "l_suppkey", "l_linenumber"]
     for c in extra_cols or []:
         if c not in cols:
             cols.append(c)
-    ds = rd.read_parquet(_t(sf_dir, "lineitem"), columns=cols)
+    # one part per file for exchange.task_count (a read Ray splits past
+    # its files never fuses with the maps after it), so one task here
+    path = _t(sf_dir, "lineitem")
+    n_tasks = exchange.task_count(1, exchange.projected_bytes(pq.read_metadata(path), cols))
+    ds = rd.read_parquet(path, columns=cols, override_num_blocks=n_tasks)
 
     def add_pt(batch: pa.Table) -> pa.Table:
         ok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -45,6 +45,37 @@ def ray_executions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def ray_write_tasks(monkeypatch):
+    """A list that gains one entry per resumable shard write
+    (``pipeline._write_shards``) finished while the test runs: the
+    number of write tasks its execution ran."""
+    from georay import pipeline
+
+    tasks = []
+    orig = pipeline._ShardSink.on_write_complete
+
+    def counting(self, write_result):
+        tasks.append(len(write_result.write_returns))
+        return orig(self, write_result)
+
+    monkeypatch.setattr(pipeline._ShardSink, "on_write_complete", counting)
+    return tasks
+
+
+@pytest.fixture
+def cluster_cpus(monkeypatch):
+    """``cluster_cpus(n)`` makes ``ray.cluster_resources()`` report ``n``
+    CPUs for the rest of the test."""
+    import ray
+
+    def set_cpus(n):
+        resources = {**ray.cluster_resources(), "CPU": float(n)}
+        monkeypatch.setattr(ray, "cluster_resources", lambda: resources)
+
+    return set_cpus
+
+
 @pytest.fixture(scope="session")
 def long_graphs():
     """Long-diameter undirected graphs as ``name -> (a, b)`` int64 edge

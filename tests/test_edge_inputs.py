@@ -2438,6 +2438,49 @@ def test_co_shuffle_unhashable_key_names_columns(ray_session):
     assert "TypeError: key columns ['u'] (u: double) have no bucket hash" in str(err.value)
 
 
+def test_task_count_bounds(ray_session, cluster_cpus):
+    """``task_count`` is at least 1 and never more than the parts; it is
+    one task per CPU otherwise, and the bytes term raises it to one task
+    per ``target_max_block_size``."""
+    import ray.data as rd
+
+    from georay import exchange
+
+    cluster_cpus(2)
+    block = rd.DataContext.get_current().target_max_block_size
+    assert exchange.task_count(0) == 1
+    assert exchange.task_count(1) == 1
+    assert exchange.task_count(100) == 2
+    assert exchange.task_count(100, block) == 2
+    assert exchange.task_count(100, 10 * block) == 10
+    assert exchange.task_count(100, 10 * block + 1) == 11
+    assert exchange.task_count(3, 10 * block) == 3
+    for n_parts in range(1, 9):
+        for n_bytes in (None, 0, block // 2, 5 * block):
+            assert 1 <= exchange.task_count(n_parts, n_bytes) <= n_parts
+
+
+def test_shuffle_coalesce_never_splits(ray_session, cluster_cpus):
+    """At 4 CPUs ``shuffle_coalesce`` adds no stage to a 2-block input
+    and merges a 16-block input to 4 blocks, rows unchanged. A file read
+    that Ray splits at run time is merged to 4 blocks too, though the
+    plan counts it as one."""
+    import ray.data as rd
+
+    from georay import exchange
+
+    cluster_cpus(4)
+    t = pa.table({"k": pa.array(np.arange(1600), pa.int64())})
+    two = rd.from_arrow([t.slice(0, 800), t.slice(800)])
+    assert exchange.shuffle_coalesce(two) is two
+    sixteen = rd.from_arrow([t.slice(i * 100, 100) for i in range(16)])
+    out = exchange.shuffle_coalesce(sixteen).materialize()
+    assert out.num_blocks() == 4
+    assert sorted(out.to_pandas()["k"].tolist()) == list(range(1600))
+    read = rd.read_parquet("/root/testdata/sf0.001/lineitem.parquet", columns=["l_orderkey"])
+    assert exchange.shuffle_coalesce(read)._plan.initial_num_blocks() == 4
+
+
 def test_combine_tree_only_in_exchange():
     """Every combine-tree stage goes through ``exchange.combine`` /
     ``exchange.gather``: no other module spells a one-task merge

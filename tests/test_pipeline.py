@@ -197,19 +197,13 @@ def test_flagship_is_one_ray_data_execution(
 
 
 def test_flagship_is_one_fused_task_per_shard(
-    images_dir, polygons, tmp_path, ray_session, monkeypatch
+    images_dir, polygons, tmp_path, ray_session, ray_write_tasks
 ):
-    """Read, transform and write fuse into one task per pending shard:
-    a fresh run writes 4 shards in 4 write tasks, each shard as one file
-    of one row group, and a resume that redoes one shard runs 1 task."""
-    tasks = []
-    orig = pipeline._ShardSink.on_write_complete
-
-    def counting(self, write_result):
-        tasks.append(len(write_result.write_returns))
-        return orig(self, write_result)
-
-    monkeypatch.setattr(pipeline._ShardSink, "on_write_complete", counting)
+    """Read, transform and write fuse into one task per pending shard at
+    the fixture's 4 CPUs: a fresh run writes 4 shards in 4 write tasks,
+    each shard as one file of one row group, and a resume that redoes
+    one shard runs 1 task."""
+    tasks = ray_write_tasks
     out = str(tmp_path / "fused")
     pipeline.run_flagship(images_dir, out, polygons, zoom=5)
     assert tasks == [4]
@@ -227,6 +221,69 @@ def test_flagship_is_one_fused_task_per_shard(
     assert s["shards_processed_this_run"] == 1
     assert tasks == [4, 1]
     _assert_outputs_match_assign(out)
+
+
+def _write_record(out):
+    """Manifest rows and checksums, and the sidecar tables, of a run."""
+    manifest = pipeline.load_manifest(out)
+    rows = {s: (m["rows_in"], m["rows_out"], m["id_checksum"]) for s, m in manifest.items()}
+    sidecars = {s: pq.read_table(pipeline._hist_path(out, s)) for s in manifest}
+    return rows, sidecars
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_flagship_write_tasks_follow_cluster_cpus(
+    images_dir, polygons, tmp_path, ray_session, ray_write_tasks, cluster_cpus, cpus
+):
+    """The shard write runs one task per cluster CPU, each writing whole
+    shards: at 1 and 2 CPUs the 4 shards take 1 and 2 tasks, each shard
+    is still one file of one row group, and manifest rows, checksums and
+    sidecars equal those of the 4-task run. A one-shard resume runs 1
+    task."""
+    ref = str(tmp_path / "ref")
+    pipeline.run_flagship(images_dir, ref, polygons, zoom=5)
+    cluster_cpus(cpus)
+    out = str(tmp_path / "out")
+    pipeline.run_flagship(images_dir, out, polygons, zoom=5)
+    assert ray_write_tasks == [4, cpus]
+    rows, sidecars = _write_record(out)
+    want_rows, want_sidecars = _write_record(ref)
+    assert rows == want_rows
+    assert sidecars.keys() == want_sidecars.keys()
+    for s, t in sidecars.items():
+        assert t.equals(want_sidecars[s]), s
+    for s in rows:
+        shard_dir = os.path.join(out, "assign", f"shard={s}")
+        (name,) = os.listdir(shard_dir)
+        md = pq.read_metadata(os.path.join(shard_dir, name))
+        assert (md.num_rows, md.num_row_groups) == (500, 1)
+
+    manifest = pipeline.load_manifest(out)
+    del manifest[sorted(manifest)[2]]
+    pipeline.save_manifest(out, manifest)
+    assert pipeline.run_flagship(images_dir, out, polygons, zoom=5)["shards_processed_this_run"] == 1
+    assert ray_write_tasks == [4, cpus, 1]
+    _assert_outputs_match_assign(out)
+
+
+def test_shard_write_splits_tasks_by_bytes(
+    images_dir, polygons, tmp_path, ray_session, ray_write_tasks, cluster_cpus
+):
+    """Shards heavier than Ray's ``target_max_block_size`` get more tasks
+    than CPUs: at 1 CPU and a 16 KB block target the 4 shards (about
+    24 KB of projected columns each) take one task each."""
+    import ray.data as rd
+
+    cluster_cpus(1)
+    ctx = rd.DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 16 << 10
+    try:
+        pipeline.run_flagship(images_dir, str(tmp_path / "out"), polygons, zoom=5)
+    finally:
+        ctx.target_max_block_size = old
+    assert ray_write_tasks == [4]
+    _assert_outputs_match_assign(str(tmp_path / "out"))
 
 
 def test_flagship_all_miss_shard_types_polygon_id(polygons, tmp_path, ray_session):

@@ -246,6 +246,52 @@ def test_minhash_dedup_is_two_ray_data_executions(ray_session, ray_executions):
     assert out.count() == ds.count()
 
 
+def test_minhash_dedup_same_output_at_any_block_count(ray_session):
+    """The band exchange merges its input to one block per CPU: the
+    output is bit-identical on 1-, 4- and 7-block inputs of the sf0.001
+    documents with 60 planted one-character edits."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from georay import exchange
+
+    docs = pq.read_table("/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"])
+    head = docs.slice(0, 60)
+    edits = [t[:5] + ("x" if t[5] != "x" else "y") + t[6:] for t in head["text"].to_pylist()]
+    docs = pa.concat_tables([docs, pa.table({
+        "doc_id": pa.array(head["doc_id"].to_numpy() + 10_000, pa.int64()),
+        "text": pa.array(edits, pa.string()),
+    })])
+    outs = []
+    for k in (1, 4, 7):
+        step = -(-docs.num_rows // k)
+        ds = rd.from_arrow([docs.slice(i, step) for i in range(0, docs.num_rows, step)])
+        assert ds.num_blocks() == k
+        outs.append(exchange.collect(dedup.minhash_dedup(ds, threshold=0.8)).sort_by("doc_id"))
+    assert outs[0].num_rows == docs.num_rows
+    assert outs[0]["is_dup"].to_numpy(zero_copy_only=False).sum() >= 50
+    assert outs[1].equals(outs[0]) and outs[2].equals(outs[0])
+
+
+def test_connected_components_raises_when_unconverged(ray_session):
+    """A 200-node path with seeded-random ids needs 122 rounds of
+    min-label propagation (50 leave 2 labels): both the local loop and
+    the broadcast loop (``local_edge_cutoff=0``) raise at
+    ``max_rounds=50`` instead of returning unconverged labels, and the
+    local loop resolves it given enough rounds."""
+    import ray.data as rd
+
+    from georay.stages.components import connected_components
+
+    ids = np.random.default_rng(7).permutation(10_000)[:200].astype(np.int64)
+    pairs = rd.from_arrow(pa.table({"id_a": pa.array(ids[:-1]), "id_b": pa.array(ids[1:])}))
+    for cutoff in (2_000_000, 0):
+        with pytest.raises(RuntimeError, match="max_rounds=50"):
+            connected_components(pairs, max_rounds=50, local_edge_cutoff=cutoff)
+    got = connected_components(pairs, max_rounds=200)
+    assert got.num_rows == 200 and set(got["label"].to_pylist()) == {int(ids.min())}
+
+
 @pytest.fixture(scope="module")
 def embeddings_ds(ray_session):
     import ray.data as rd
